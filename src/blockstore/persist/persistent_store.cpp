@@ -19,33 +19,51 @@ constexpr std::uint32_t kMaxCidBytes = 256;
 constexpr std::uint32_t kMaxDataBytes = 64u * 1024 * 1024;
 constexpr const char* kPinJournal = "pins.log";
 
-std::uint32_t crc32(std::span<const std::uint8_t> first,
-                    std::span<const std::uint8_t> second = {}) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k)
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (const auto part : {first, second})
-    for (const std::uint8_t byte : part)
-      crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
-}
-
 std::uint32_t read_u32(const std::uint8_t* p) {
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i) v |= std::uint32_t(p[i]) << (8 * i);
   return v;
+}
+
+// CRC-32 (reflected polynomial 0xEDB88320, as in zlib), slicing-by-8:
+// t[k][b] is the CRC of byte b followed by k zero bytes, so eight input
+// bytes fold into the CRC with eight independent lookups.
+std::uint32_t crc32_update(std::uint32_t crc,
+                           std::span<const std::uint8_t> data) {
+  static const auto t = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> tables{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k)
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      tables[0][i] = c;
+    }
+    for (std::uint32_t i = 0; i < 256; ++i)
+      for (int k = 1; k < 8; ++k)
+        tables[k][i] = (tables[k - 1][i] >> 8) ^
+                       tables[0][tables[k - 1][i] & 0xFF];
+    return tables;
+  }();
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = crc ^ read_u32(p);
+    const std::uint32_t hi = read_u32(p + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
+  return crc;
+}
+
+std::uint32_t crc32(std::span<const std::uint8_t> first,
+                    std::span<const std::uint8_t> second = {}) {
+  return crc32_update(crc32_update(0xFFFFFFFFu, first), second) ^ 0xFFFFFFFFu;
+}
+
+void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
 }
 
 std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {

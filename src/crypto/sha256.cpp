@@ -1,8 +1,15 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
+
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define IPFS_SHA256_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace ipfs::crypto {
 namespace {
@@ -36,17 +43,8 @@ void store_be32(std::uint8_t* p, std::uint32_t v) {
   p[3] = static_cast<std::uint8_t>(v);
 }
 
-}  // namespace
-
-Sha256::Sha256() { reset(); }
-
-void Sha256::reset() {
-  state_ = kInitialState;
-  total_bytes_ = 0;
-  buffered_ = 0;
-}
-
-void Sha256::compress(const std::uint8_t* block) {
+// The portable FIPS 180-4 compression function, one block at a time.
+void compress_block(std::uint32_t* state, const std::uint8_t* block) {
   std::array<std::uint32_t, 64> w;
   for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
   for (int i = 16; i < 64; ++i) {
@@ -57,7 +55,8 @@ void Sha256::compress(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  auto [a, b, c, d, e, f, g, h] = state_;
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+                e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 =
         std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
@@ -77,17 +76,112 @@ void Sha256::compress(const std::uint8_t* block) {
     a = t1 + t2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#ifdef IPFS_SHA256_X86
+// SHA-NI kernel. The round state lives in two registers as (A,B,E,F) and
+// (C,D,G,H), the layout _mm_sha256rnds2_epu32 wants; each rnds2 runs two
+// rounds, and msg1/msg2 extend the message schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
+    std::uint32_t* state, const std::uint8_t* data, std::size_t blocks) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i cdgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);    // C D A B
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);  // E F G H
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];  // schedule words 4g..4g+3 of the last four groups
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      __m128i m;
+      if (g < 4) {
+        m = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            byte_swap);
+      } else {
+        m = _mm_sha256msg1_epu32(w[g & 3], w[(g + 1) & 3]);
+        m = _mm_add_epi32(m, _mm_alignr_epi8(w[(g + 3) & 3], w[(g + 2) & 3], 4));
+        m = _mm_sha256msg2_epu32(m, w[(g + 3) & 3]);
+      }
+      w[g & 3] = m;
+      const __m128i wk = _mm_add_epi32(
+          m, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                 kRoundConstants.data() + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  tmp = _mm_shuffle_epi32(abef, 0x1B);   // F E B A
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);  // D C H G
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(tmp, cdgh, 0xF0));  // D C B A
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(cdgh, tmp, 8));  // H G F E
+}
+
+bool cpu_has_sha_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  if (!(ecx & bit_SSSE3) || !(ecx & bit_SSE4_1)) return false;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  return (ebx & bit_SHA) != 0;
+}
+#endif
+
+}  // namespace
+
+namespace detail {
+
+void compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                       std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) compress_block(state, data);
+}
+
+CompressFn compress_hardware() {
+#ifdef IPFS_SHA256_X86
+  static const CompressFn kernel = cpu_has_sha_ni() ? compress_sha_ni : nullptr;
+  return kernel;
+#else
+  return nullptr;
+#endif
+}
+
+CompressFn compress_selected() {
+  static const CompressFn kernel =
+      compress_hardware() ? compress_hardware() : compress_portable;
+  return kernel;
+}
+
+}  // namespace detail
+
+Sha256::Sha256() { reset(); }
+
+void Sha256::reset() {
+  state_ = kInitialState;
+  total_bytes_ = 0;
+  buffered_ = 0;
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
+  if (data.empty()) return;  // data() may be null; memcpy forbids that
+  const detail::CompressFn compress = detail::compress_selected();
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffered_ > 0) {
@@ -96,13 +190,15 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     buffered_ += take;
     offset += take;
     if (buffered_ == buffer_.size()) {
-      compress(buffer_.data());
+      compress(state_.data(), buffer_.data(), 1);
       buffered_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    compress(data.data() + offset);
-    offset += 64;
+  // Every whole block left in the input goes to the kernel in one call.
+  const std::size_t blocks = (data.size() - offset) / 64;
+  if (blocks > 0) {
+    compress(state_.data(), data.data() + offset, blocks);
+    offset += blocks * 64;
   }
   if (offset < data.size()) {
     buffered_ = data.size() - offset;
@@ -116,16 +212,21 @@ void Sha256::update(std::string_view data) {
 }
 
 Sha256Digest Sha256::finish() {
+  // Padding: 0x80, zeros up to byte 56 of a block, then the 64-bit
+  // big-endian bit length -- one block, or two when the tail is past 55.
+  const detail::CompressFn compress = detail::compress_selected();
   const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(std::span<const std::uint8_t>(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(std::span<const std::uint8_t>(&zero, 1));
-
-  std::array<std::uint8_t, 8> len_bytes;
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
+    compress(state_.data(), buffer_.data(), 1);
+    buffered_ = 0;
+  }
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
   for (int i = 0; i < 8; ++i)
-    len_bytes[i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
-  update(len_bytes);
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  compress(state_.data(), buffer_.data(), 1);
+  buffered_ = 0;
 
   Sha256Digest digest;
   for (int i = 0; i < 8; ++i) store_be32(digest.data() + 4 * i, state_[i]);

@@ -1,4 +1,7 @@
 // SHA-256 (FIPS 180-4). CIDs and DHT keys hash through this implementation.
+// Whole 64-byte blocks go to a compress kernel picked once per process:
+// the x86 SHA extensions (SHA-NI) when the CPU has them, otherwise the
+// portable FIPS 180-4 code, which is also the tests' reference.
 #pragma once
 
 #include <array>
@@ -28,8 +31,6 @@ class Sha256 {
   void reset();
 
  private:
-  void compress(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::uint64_t total_bytes_ = 0;
@@ -42,5 +43,22 @@ Sha256Digest sha256(std::string_view data);
 // Hex rendering used by tests and debug output.
 std::string to_hex(std::span<const std::uint8_t> bytes);
 std::vector<std::uint8_t> from_hex(std::string_view hex);
+
+// Test hooks exposing the compress kernels behind Sha256, so tests can
+// compare the selected kernel against the portable reference.
+namespace detail {
+
+// Folds `blocks` consecutive 64-byte blocks at `data` into `state`.
+using CompressFn = void (*)(std::uint32_t* state, const std::uint8_t* data,
+                            std::size_t blocks);
+
+void compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                       std::size_t blocks);
+// The SHA-NI kernel, or nullptr when this CPU lacks the SHA extensions.
+CompressFn compress_hardware();
+// What Sha256::update uses: compress_hardware() if present, else portable.
+CompressFn compress_selected();
+
+}  // namespace detail
 
 }  // namespace ipfs::crypto

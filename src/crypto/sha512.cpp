@@ -103,6 +103,7 @@ void Sha512::compress(const std::uint8_t* block) {
 }
 
 void Sha512::update(std::span<const std::uint8_t> data) {
+  if (data.empty()) return;  // data() may be null; memcpy forbids that
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffered_ > 0) {

@@ -1,7 +1,11 @@
 // Crypto substrate tests: FIPS 180-4 vectors for SHA-256/512, RFC 4231
-// vectors for HMAC, and RFC 8032 vectors for Ed25519.
+// vectors for HMAC, and RFC 8032 vectors for Ed25519, plus a differential
+// test of the SHA-256 compress kernels against the portable reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -61,6 +65,87 @@ TEST(Sha256Test, ResetReusesContext) {
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
+// Reference digest: FIPS 180-4 padding done here, independently of
+// Sha256::finish(), then every block through `compress` in one call.
+Sha256Digest digest_with(detail::CompressFn compress,
+                         std::span<const std::uint8_t> data) {
+  std::vector<std::uint8_t> message(data.begin(), data.end());
+  message.push_back(0x80);
+  while (message.size() % 64 != 56) message.push_back(0);
+  const std::uint64_t bits = std::uint64_t{data.size()} * 8;
+  for (int i = 7; i >= 0; --i)
+    message.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  std::array<std::uint32_t, 8> state = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                        0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                        0x1f83d9ab, 0x5be0cd19};
+  compress(state.data(), message.data(), message.size() / 64);
+  Sha256Digest digest;
+  for (int i = 0; i < 8; ++i)
+    for (int j = 0; j < 4; ++j)
+      digest[4 * i + j] = static_cast<std::uint8_t>(state[i] >> (24 - 8 * j));
+  return digest;
+}
+
+// Every length 0..1024, then 50 seeded random lengths up to 300 KiB, all
+// prefixes of one seeded random buffer.
+struct DifferentialInputs {
+  std::vector<std::uint8_t> buffer;
+  std::vector<std::size_t> lengths;
+};
+
+const DifferentialInputs& differential_inputs() {
+  static const DifferentialInputs inputs = [] {
+    DifferentialInputs in;
+    std::mt19937_64 rng(0x5a256);
+    in.buffer.resize(300 * 1024);
+    for (auto& b : in.buffer) b = static_cast<std::uint8_t>(rng());
+    for (std::size_t n = 0; n <= 1024; ++n) in.lengths.push_back(n);
+    for (int i = 0; i < 50; ++i)
+      in.lengths.push_back(rng() % (in.buffer.size() + 1));
+    return in;
+  }();
+  return inputs;
+}
+
+TEST(Sha256Differential, SelectedKernelMatchesPortableReference) {
+  const auto& in = differential_inputs();
+  std::mt19937_64 rng(7);
+  for (const std::size_t len : in.lengths) {
+    const std::span<const std::uint8_t> data(in.buffer.data(), len);
+    const Sha256Digest expected =
+        digest_with(detail::compress_portable, data);
+    ASSERT_EQ(sha256(data), expected) << "one-shot len=" << len;
+    ASSERT_EQ(digest_with(detail::compress_selected(), data), expected)
+        << "kernel len=" << len;
+
+    // Streamed in random pieces: mostly sub-block, some multi-block.
+    Sha256 ctx;
+    std::size_t offset = 0;
+    while (offset < len) {
+      const std::size_t cap = rng() % 4 == 0 ? 4096 : 130;
+      const std::size_t take = std::min<std::size_t>(rng() % (cap + 1),
+                                                     len - offset);
+      ctx.update(data.subspan(offset, take));
+      ctx.update(std::span<const std::uint8_t>());  // null, empty
+      offset += take;
+    }
+    ASSERT_EQ(ctx.finish(), expected) << "streamed len=" << len;
+  }
+}
+
+TEST(Sha256Differential, HardwareKernelMatchesPortableReference) {
+  const detail::CompressFn hardware = detail::compress_hardware();
+  if (hardware == nullptr) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  EXPECT_EQ(detail::compress_selected(), hardware);
+  const auto& in = differential_inputs();
+  for (const std::size_t len : in.lengths) {
+    const std::span<const std::uint8_t> data(in.buffer.data(), len);
+    ASSERT_EQ(digest_with(hardware, data),
+              digest_with(detail::compress_portable, data))
+        << "len=" << len;
+  }
+}
+
 TEST(Sha512Test, EmptyInput) {
   EXPECT_EQ(to_hex(sha512("")),
             "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
@@ -111,11 +196,16 @@ Ed25519Seed seed_from_hex(std::string_view hex) {
 }
 
 struct Rfc8032Vector {
+  std::string name;  // the vector's label in RFC 8032 section 7.1
   std::string seed_hex;
   std::string public_hex;
   std::string message_hex;
   std::string signature_hex;
 };
+
+// Prints the label, so the parameterized test names are stable rather than
+// a dump of the struct's bytes (which hold heap addresses).
+void PrintTo(const Rfc8032Vector& vec, std::ostream* os) { *os << vec.name; }
 
 class Ed25519Rfc8032Test : public ::testing::TestWithParam<Rfc8032Vector> {};
 
@@ -134,18 +224,21 @@ INSTANTIATE_TEST_SUITE_P(
     Rfc8032Vectors, Ed25519Rfc8032Test,
     ::testing::Values(
         Rfc8032Vector{
+            "Test1",
             "9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60",
             "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a",
             "",
             "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e06522490155"
             "5fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"},
         Rfc8032Vector{
+            "Test2",
             "4ccd089b28ff96da9db6c346ec114e0f5b8a319f35aba624da8cf6ed4fb8a6fb",
             "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c",
             "72",
             "92a009a9f0d4cab8720e820b5f642540a2b27b5416503f8fb3762223ebdb69da"
             "085ac1e43e15996e458f3613d0f11d8c387b2eaeb4302aeeb00d291612bb0c00"},
         Rfc8032Vector{
+            "Test3",
             "c5aa8df43f9f837bedb7442f31dcb7b166d38535076f094b85ce3a2e0b4458f7",
             "fc51cd8e6218a1a38da47ed00230f0580816ed13ba3303ac5deb911548908025",
             "af82",

@@ -9,6 +9,7 @@
 #include "blockstore/persist/async_store.h"
 #include "blockstore/persist/persistent_store.h"
 #include "blockstore/store_config.h"
+#include "crypto/sha256.h"
 #include "sim/rng.h"
 
 namespace ipfs::blockstore::persist {
@@ -183,6 +184,86 @@ TEST(PersistentStore, CrashCutsUnsyncedTailOnly) {
     ASSERT_TRUE(survived != nullptr);
     EXPECT_EQ(*survived, at_risk.data);
   }
+}
+
+// On-disk format pin: the exact files the original byte-at-a-time CRC
+// writer produced for put("pinned block"), put("removed block"),
+// pin(first), remove(second), flush(). Records are [magic IPBK | kind |
+// cid_len | data_len | crc32] + CID + payload, little-endian.
+constexpr std::string_view kCompatSegmentHex =
+    "4942504b01240000000c000000a5698a65015512209f396c8187117b10355e342fee42"
+    "2ab5d314348504bcf6d16bdc8c602f15e8b170696e6e656420626c6f636b4942504b01"
+    "240000000d000000de2c83b2015512209f14d57f1cd77917ec7bc031b5d8907a3c24ae"
+    "57610d4ed74d095332db893f0e72656d6f76656420626c6f636b4942504b0224000000"
+    "00000000391bff27015512209f14d57f1cd77917ec7bc031b5d8907a3c24ae57610d4e"
+    "d74d095332db893f0e";
+constexpr std::string_view kCompatPinsHex =
+    "4942504b032400000000000000b21ab6f2015512209f396c8187117b10355e342fee42"
+    "2ab5d314348504bcf6d16bdc8c602f15e8b1";
+constexpr std::size_t kCompatFirstRecordBytes = 17 + 36 + 12;
+
+Block compat_block(std::string_view text) {
+  return Block::from_data(multiformats::Multicodec::kRaw,
+                          std::vector<std::uint8_t>(text.begin(), text.end()));
+}
+
+std::unique_ptr<PersistentBlockStore> open_compat_files(
+    const std::vector<std::uint8_t>& segment) {
+  auto storage = std::make_unique<MemStorage>();
+  for (const auto& [name, bytes] :
+       {std::pair{"seg-00000000.log", segment},
+        std::pair{"pins.log", crypto::from_hex(kCompatPinsHex)}}) {
+    storage->append(name, bytes);
+    storage->sync(name);
+  }
+  return std::make_unique<PersistentBlockStore>(std::move(storage),
+                                                PersistConfig{});
+}
+
+TEST(PersistentStoreCompat, ReopensReferenceSegmentIntact) {
+  const auto pinned = compat_block("pinned block");
+  const auto removed = compat_block("removed block");
+  auto store = open_compat_files(crypto::from_hex(kCompatSegmentHex));
+  EXPECT_EQ(store->recovered_truncated_bytes(), 0u);
+  EXPECT_EQ(store->block_count(), 1u);
+  const auto data = store->get(pinned.cid);
+  ASSERT_TRUE(data != nullptr);
+  EXPECT_EQ(*data, pinned.data);
+  EXPECT_TRUE(store->pinned(pinned.cid));
+  EXPECT_FALSE(store->has(removed.cid));
+}
+
+TEST(PersistentStoreCompat, WriterReproducesReferenceBytes) {
+  const auto pinned = compat_block("pinned block");
+  const auto removed = compat_block("removed block");
+  auto store = make_persistent();
+  ASSERT_EQ(store->put(pinned), PutStatus::kStored);
+  ASSERT_EQ(store->put(removed), PutStatus::kStored);
+  store->pin(pinned.cid);
+  ASSERT_TRUE(store->remove(removed.cid));
+  store->flush();
+
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(store->storage().read_all("seg-00000000.log", bytes));
+  EXPECT_EQ(crypto::to_hex(bytes), kCompatSegmentHex);
+  ASSERT_TRUE(store->storage().read_all("pins.log", bytes));
+  EXPECT_EQ(crypto::to_hex(bytes), kCompatPinsHex);
+}
+
+TEST(PersistentStoreCompat, FlippedPayloadBitIsCutAtCrc) {
+  const auto pinned = compat_block("pinned block");
+  const auto removed = compat_block("removed block");
+  auto segment = crypto::from_hex(kCompatSegmentHex);
+  // One bit inside the second put's payload; its header stays valid, so
+  // only the CRC can catch it. Replay stops there and cuts the rest.
+  segment[kCompatFirstRecordBytes + 17 + 36 + 3] ^= 0x08;
+  auto store = open_compat_files(segment);
+  EXPECT_EQ(store->recovered_truncated_bytes(),
+            segment.size() - kCompatFirstRecordBytes);
+  EXPECT_TRUE(store->has(pinned.cid));
+  EXPECT_FALSE(store->has(removed.cid));
+  EXPECT_EQ(store->storage().size("seg-00000000.log"),
+            kCompatFirstRecordBytes);
 }
 
 TEST(AsyncStore, QueuesThenDrainsAtBatchSize) {
