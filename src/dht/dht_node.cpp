@@ -10,8 +10,9 @@ DhtNode::DhtNode(transport::Transport& transport, multiformats::PeerId id,
                  std::vector<multiformats::Multiaddr> addresses,
                  RecordStore* shared_store)
     : transport_(transport),
-      self_{std::move(id), transport.local(), std::move(addresses)},
-      routing_table_(Key::for_peer(self_.id)),
+      self_(std::make_shared<const PeerRef>(
+          PeerRef{std::move(id), transport.local(), std::move(addresses)})),
+      routing_table_(Key::for_peer(self_->id)),
       records_(shared_store != nullptr ? shared_store : &own_records_) {
   schedule_expiry_sweep();
 }
@@ -56,10 +57,11 @@ void DhtNode::fix_mode(Mode mode) {
 
 void DhtNode::set_bucket_diversity_cap(std::size_t cap) {
   bucket_diversity_cap_ = cap;
-  // Rebuild the live table under the new cap. Existing entries re-enter
-  // in insertion order, so entries over a newly lowered cap are shed.
-  RoutingTable capped(Key::for_peer(self_.id), cap);
-  for (const auto& peer : routing_table_.all_peers()) capped.upsert(peer);
+  // Rebuild the live table under the new cap from its keys and shared
+  // contacts. Existing entries re-enter in insertion order, so entries
+  // over a newly lowered cap are shed.
+  RoutingTable capped(routing_table_.local_key(), cap);
+  capped.bulk_load(routing_table_.entries());
   routing_table_ = std::move(capped);
 }
 
@@ -231,7 +233,7 @@ bool DhtNode::handle_message(sim::NodeId from, const sim::MessagePtr& message) {
 LookupHost DhtNode::make_lookup_host() {
   LookupHost host;
   host.transport = &transport_;
-  host.self_ref = self_;
+  host.self_ref = *self_;
   host.server_mode = mode_ == Mode::kServer;
   host.provider_quorum = provider_quorum_;
   host.on_peer_responded = [this](const PeerRef& peer) {
@@ -355,7 +357,7 @@ void DhtNode::handle_crash() {
   for (auto& [raw, lookup] : active_lookups_) lookup->abort();
   active_lookups_.clear();
   routing_table_ =
-      RoutingTable(Key::for_peer(self_.id), bucket_diversity_cap_);
+      RoutingTable(routing_table_.local_key(), bucket_diversity_cap_);
   republish_timer_.cancel();
   expiry_timer_.cancel();
 }
@@ -416,7 +418,7 @@ void DhtNode::store_provider_records(
                          if (ok) {
                            auto add = std::make_shared<AddProviderRequest>();
                            add->key = key;
-                           add->provider = self_;
+                           add->provider = *self_;
                            transport_.send(
                                peer.node, std::move(add),
                                kRequestBaseBytes + kPeerRefBytes);

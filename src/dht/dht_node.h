@@ -180,11 +180,14 @@ class DhtNode {
   // daemon uses this, since a small localhost cluster can never muster
   // enough probes even though every endpoint is dialable by construction.
   void fix_mode(Mode mode);
-  const PeerRef& self() const { return self_; }
+  const PeerRef& self() const { return *self_; }
+  // The immutable self contact, shared by every routing table entry that
+  // points at this node (World seeding).
+  const std::shared_ptr<const PeerRef>& self_handle() const { return self_; }
   RoutingTable& routing_table() { return routing_table_; }
   const RoutingTable& routing_table() const { return routing_table_; }
   RecordStore& record_store() { return *records_; }
-  sim::NodeId node() const { return self_.node; }
+  sim::NodeId node() const { return self_->node; }
   transport::Transport& transport() { return transport_; }
 
   // Peers the crawler can enumerate (Section 4.1): the full k-bucket
@@ -217,7 +220,7 @@ class DhtNode {
   // the transport_ reference; null when the transport is external.
   std::unique_ptr<transport::Transport> owned_transport_;
   transport::Transport& transport_;
-  PeerRef self_;
+  std::shared_ptr<const PeerRef> self_;
   Mode mode_ = Mode::kClient;
   std::optional<Mode> fixed_mode_;
   RoutingTable routing_table_;

@@ -1,6 +1,7 @@
 #include "dht/routing_table.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace ipfs::dht {
 
@@ -42,11 +43,25 @@ RoutingTable::Bucket& RoutingTable::ensure_bucket(std::size_t index) {
   return *it;
 }
 
-bool RoutingTable::upsert(const PeerRef& peer) {
-  return upsert(peer, Key::for_peer(peer.id));
+bool RoutingTable::admits(const std::vector<Entry>& entries,
+                          const PeerRef& peer) {
+  if (entries.size() >= kBucketSize) return false;
+  if (diversity_cap_ > 0) {
+    if (const auto prefix = diversity_class(peer)) {
+      std::size_t shared = 0;
+      for (const Entry& entry : entries)
+        if (diversity_class(*entry.peer) == prefix) ++shared;
+      if (shared >= diversity_cap_) {
+        ++diversity_rejections_;
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
-bool RoutingTable::upsert(const PeerRef& peer, const Key& key) {
+bool RoutingTable::upsert(const PeerRef& peer) {
+  const Key key = Key::for_peer(peer.id);
   if (key == local_key_) return false;
   Bucket& bucket = ensure_bucket(bucket_index(key));
   auto& entries = bucket.entries;
@@ -58,27 +73,51 @@ bool RoutingTable::upsert(const PeerRef& peer, const Key& key) {
                                  return entry.key == key;
                                });
   if (it != entries.end()) {
-    // Refresh: move to the tail (most recently seen) and update addresses.
-    it->peer = peer;
+    // Refresh: move to the tail (most recently seen) and update the
+    // contact if it moved. PeerRef::operator== compares ids only.
+    if (it->peer->node != peer.node || it->peer->addresses != peer.addresses)
+      it->peer = std::make_shared<const PeerRef>(peer);
     std::rotate(it, it + 1, entries.end());
     return true;
   }
 
-  if (entries.size() >= kBucketSize) return false;
-  if (diversity_cap_ > 0) {
-    if (const auto prefix = diversity_class(peer)) {
-      std::size_t shared = 0;
-      for (const Entry& entry : entries)
-        if (diversity_class(entry.peer) == prefix) ++shared;
-      if (shared >= diversity_cap_) {
-        ++diversity_rejections_;
-        return false;
-      }
-    }
-  }
-  entries.push_back(Entry{peer, key});
+  if (!admits(entries, peer)) return false;
+  entries.push_back(Entry{key, std::make_shared<const PeerRef>(peer)});
   ++size_;
   return true;
+}
+
+void RoutingTable::bulk_load(std::vector<Entry> entries) {
+  assert(buckets_.empty() && "bulk_load() fills an empty table");
+  // Count once per bucket index, then create every occupied bucket in
+  // index order, each reserved to its final size when nothing is capped.
+  std::array<std::uint32_t, kBucketCount> counts{};
+  for (const Entry& entry : entries)
+    if (entry.key != local_key_) ++counts[bucket_index(entry.key)];
+  std::array<std::uint16_t, kBucketCount> slot{};
+  for (std::size_t index = 0; index < kBucketCount; ++index) {
+    if (counts[index] == 0) continue;
+    slot[index] = static_cast<std::uint16_t>(buckets_.size());
+    buckets_.push_back(Bucket{static_cast<std::uint16_t>(index), {}});
+    buckets_.back().entries.reserve(
+        std::min<std::size_t>(counts[index], kBucketSize));
+  }
+
+  for (Entry& entry : entries) {
+    if (entry.key == local_key_) continue;
+    auto& bucket = buckets_[slot[bucket_index(entry.key)]].entries;
+    if (!admits(bucket, *entry.peer)) continue;
+    bucket.push_back(std::move(entry));
+    ++size_;
+  }
+}
+
+std::vector<RoutingTable::Entry> RoutingTable::entries() const {
+  std::vector<Entry> out;
+  out.reserve(size_);
+  for (const auto& bucket : buckets_)
+    out.insert(out.end(), bucket.entries.begin(), bucket.entries.end());
+  return out;
 }
 
 void RoutingTable::remove(const multiformats::PeerId& peer) {
@@ -91,7 +130,7 @@ void RoutingTable::remove(const multiformats::PeerId& peer) {
   auto& entries = bucket_it->entries;
   const auto it = std::find_if(entries.begin(), entries.end(),
                                [&](const Entry& entry) {
-                                 return entry.peer.id == peer;
+                                 return entry.peer->id == peer;
                                });
   if (it != entries.end()) {
     entries.erase(it);
@@ -104,8 +143,9 @@ bool RoutingTable::contains(const multiformats::PeerId& peer) const {
   const Key key = Key::for_peer(peer);
   const Bucket* bucket = find_bucket(bucket_index(key));
   if (bucket == nullptr) return false;
-  return std::any_of(bucket->entries.begin(), bucket->entries.end(),
-                     [&](const Entry& entry) { return entry.peer.id == peer; });
+  return std::any_of(
+      bucket->entries.begin(), bucket->entries.end(),
+      [&](const Entry& entry) { return entry.peer->id == peer; });
 }
 
 std::size_t RoutingTable::bucket_size(std::size_t index) const {
@@ -119,7 +159,7 @@ std::vector<PeerRef> RoutingTable::closest(const Key& target,
   scratch_.reserve(size_);
   for (const auto& bucket : buckets_)
     for (const auto& entry : bucket.entries)
-      scratch_.push_back({entry.key.distance_to(target), &entry.peer});
+      scratch_.push_back({entry.key.distance_to(target), entry.peer.get()});
 
   const std::size_t take = std::min(count, scratch_.size());
   std::partial_sort(scratch_.begin(), scratch_.begin() + take,
@@ -137,7 +177,7 @@ std::vector<PeerRef> RoutingTable::all_peers() const {
   std::vector<PeerRef> out;
   out.reserve(size_);
   for (const auto& bucket : buckets_)
-    for (const auto& entry : bucket.entries) out.push_back(entry.peer);
+    for (const auto& entry : bucket.entries) out.push_back(*entry.peer);
   return out;
 }
 

@@ -6,12 +6,16 @@
 // ~log2(n) of the 256 possible prefix lengths are ever occupied, so empty
 // buckets cost nothing), each bucket is a contiguous vector rather than a
 // linked list, and closest() reuses a scratch buffer so steady-state
-// lookups allocate only their result vector.
+// lookups allocate only their result vector. An entry is 48 bytes: the
+// cached key plus a handle to one immutable contact, which every table
+// that knows the peer shares (world seeding hands out each node's own
+// self contact), so filling a table copies no addresses.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -25,6 +29,11 @@ constexpr std::size_t kBucketCount = 256; // i
 
 class RoutingTable {
  public:
+  struct Entry {
+    Key key;  // cached SHA-256 of the PeerID
+    std::shared_ptr<const PeerRef> peer;
+  };
+
   // `diversity_cap` bounds how many entries of any one bucket may share a
   // /16 IPv4 prefix (Henningsen et al.'s Sybil defense: one operator's
   // address block cannot monopolize a bucket). 0 disables the check and
@@ -33,12 +42,20 @@ class RoutingTable {
 
   // Inserts or refreshes a peer. Full buckets reject newcomers (original
   // Kademlia bias towards long-lived peers, which the paper's churn data
-  // justifies). Returns true if the peer is (now) in the table.
+  // justifies). Returns true if the peer is (now) in the table. A new
+  // entry holds one shared copy of `peer`; a refresh replaces it only
+  // when the peer's node or addresses changed.
   bool upsert(const PeerRef& peer);
 
-  // Same, with the peer's DHT key precomputed by the caller — skips one
-  // SHA-256 per insert on bulk paths (world construction, crawls).
-  bool upsert(const PeerRef& peer, const Key& key);
+  // Fills an empty table in one pass: the result (entries, order and
+  // diversity_rejections()) equals upserting `entries` in order, with the
+  // same k and diversity limits, but the handles are shared rather than
+  // copied and each bucket is sized once. Keys must be distinct.
+  void bulk_load(std::vector<Entry> entries);
+
+  // Every entry, bucket by bucket in insertion order: feeding the result
+  // to bulk_load() rebuilds the same table (e.g. under a new cap).
+  std::vector<Entry> entries() const;
 
   void remove(const multiformats::PeerId& peer);
   bool contains(const multiformats::PeerId& peer) const;
@@ -68,11 +85,6 @@ class RoutingTable {
   static std::optional<std::uint16_t> diversity_class(const PeerRef& peer);
 
  private:
-  struct Entry {
-    PeerRef peer;
-    Key key;  // cached SHA-256 of the PeerID
-  };
-
   // One occupied bucket; buckets_ holds them sorted by index, so lookup
   // is a binary search over the handful of occupied prefix lengths.
   struct Bucket {
@@ -83,6 +95,9 @@ class RoutingTable {
   std::size_t bucket_index(const Key& key) const;
   const Bucket* find_bucket(std::size_t index) const;
   Bucket& ensure_bucket(std::size_t index);
+  // The k limit and the diversity cap for a newcomer to `entries`;
+  // counts a diversity rejection.
+  bool admits(const std::vector<Entry>& entries, const PeerRef& peer);
 
   Key local_key_;
   std::vector<Bucket> buckets_;  // sorted by Bucket::index

@@ -1,7 +1,6 @@
 #include "world/world.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "bitswap/bitswap.h"
 #include "crypto/sha256.h"
@@ -165,79 +164,54 @@ void World::seed_routing_tables() {
   // correct entries (peers at common-prefix-length b land in bucket b),
   // as a long-running network's tables would look. Offline and NAT'ed
   // peers are seeded too — the table staleness real lookups contend with.
-  struct Keyed {
-    std::array<std::uint8_t, 32> key;
-    std::uint32_t index;
-  };
-  std::vector<Keyed> sorted;
+
+  // Every node's (key, self contact), sorted by key: a pick copies its
+  // entry straight out of this array.
+  using Entry = dht::RoutingTable::Entry;
+  std::vector<Entry> sorted;
   sorted.reserve(dht_nodes_.size());
-  for (std::size_t i = 0; i < dht_nodes_.size(); ++i) {
-    sorted.push_back(
-        {dht::Key::for_peer(dht_nodes_[i]->self().id).bytes(),
-         static_cast<std::uint32_t>(i)});
-  }
+  for (const auto& node : dht_nodes_)
+    sorted.push_back({node->routing_table().local_key(), node->self_handle()});
   std::sort(sorted.begin(), sorted.end(),
-            [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
+            [](const Entry& a, const Entry& b) { return a.key < b.key; });
 
-  auto prefix_range = [&](const std::array<std::uint8_t, 32>& key, int bits) {
-    // [lo, hi) of sorted entries sharing the first `bits` bits of key.
-    std::array<std::uint8_t, 32> lo = key;
-    std::array<std::uint8_t, 32> hi = key;
-    for (int byte = 0; byte < 32; ++byte) {
-      const int bit_start = byte * 8;
-      for (int bit = 0; bit < 8; ++bit) {
-        if (bit_start + bit >= bits) {
-          lo[byte] &= static_cast<std::uint8_t>(0xff << (8 - bit));
-          hi[byte] |= static_cast<std::uint8_t>(0xff >> bit);
-          // Remaining bytes.
-          for (int rest = byte + 1; rest < 32; ++rest) {
-            lo[rest] = 0x00;
-            hi[rest] = 0xff;
-          }
-          byte = 32;  // break outer
-          break;
-        }
-      }
-    }
-    const auto lo_it = std::lower_bound(
-        sorted.begin(), sorted.end(), lo,
-        [](const Keyed& a, const std::array<std::uint8_t, 32>& b) {
-          return a.key < b;
-        });
-    const auto hi_it = std::upper_bound(
-        sorted.begin(), sorted.end(), hi,
-        [](const std::array<std::uint8_t, 32>& a, const Keyed& b) {
-          return a < b.key;
-        });
-    return std::pair<std::size_t, std::size_t>(lo_it - sorted.begin(),
-                                               hi_it - sorted.begin());
+  // Per-node scratch, reused across nodes.
+  using Range = std::pair<std::size_t, std::size_t>;
+  struct BucketRange {
+    std::size_t outer_lo, outer_hi, inner_lo, inner_hi, total;
   };
+  std::vector<Range> levels;
+  std::vector<BucketRange> buckets;
+  std::vector<std::size_t> alloc;
+  std::vector<std::size_t> reserve;
+  std::vector<std::pair<std::size_t, std::size_t>> moved;  // pos -> t
 
-  // Planning (bucket allocation and every rng draw) stays sequential in
-  // node order, so the seeded draw stream — and with it every seeded
-  // world — is bit-identical to the single-threaded seeder. The
-  // expensive part, copying PeerRefs into k-bucket entries, touches only
-  // the owning node's table, so blocks of finished plans fan out across
-  // worker threads; the result is independent of the worker count.
-  const std::size_t node_total = dht_nodes_.size();
-  const std::size_t workers = std::max<std::size_t>(
-      1, std::min<std::size_t>(std::thread::hardware_concurrency(),
-                               node_total / 1024));
-  constexpr std::size_t kPlanBlock = 8192;
-  std::vector<std::vector<std::uint32_t>> plans(
-      std::min(kPlanBlock, node_total));
-
-  const auto plan_node = [&](std::size_t i,
-                             std::vector<std::uint32_t>& plan) {
-    plan.clear();
-    const auto key = dht::Key::for_peer(dht_nodes_[i]->self().id).bytes();
+  // Tables fill single-threaded in node order: planning draws from rng_
+  // in that order, and every entry shares the peer's self contact, so
+  // worker threads would only contend on the same reference counts.
+  for (const auto& node : dht_nodes_) {
+    auto& table = node->routing_table();
+    const auto& key = table.local_key().bytes();
     const std::size_t budget = config_.max_routing_entries;
 
-    auto [lo_prev, hi_prev] = prefix_range(key, 0);
-    std::vector<std::pair<std::size_t, std::size_t>> levels;
-    levels.push_back({lo_prev, hi_prev});
-    for (int bits = 1; bits <= 256; ++bits) {
-      const auto range = prefix_range(key, bits);
+    // levels[b] = [lo, hi) of sorted entries sharing the first b bits of
+    // key. The sorted entries sharing b bits are split by bit b into a
+    // 0-run and a 1-run, so each level is one partition point inside the
+    // previous one. The node itself is always inside, so ranges never
+    // empty; the walk stops once only the node is left.
+    levels.clear();
+    levels.push_back({0, sorted.size()});
+    for (int bits = 0; bits < 256; ++bits) {
+      const auto bit_of = [bits](const std::array<std::uint8_t, 32>& k) {
+        return (k[bits / 8] >> (7 - bits % 8)) & 1;
+      };
+      const auto [lo, hi] = levels.back();
+      const std::size_t mid =
+          std::partition_point(
+              sorted.begin() + lo, sorted.begin() + hi,
+              [&](const Entry& e) { return !bit_of(e.key.bytes()); }) -
+          sorted.begin();
+      const Range range = bit_of(key) ? Range{mid, hi} : Range{lo, mid};
       levels.push_back(range);
       if (range.second - range.first <= 1) break;
     }
@@ -245,11 +219,7 @@ void World::seed_routing_tables() {
     // Per-bucket candidate counts, deepest bucket first (the draw order
     // below). Bucket (depth-1) holds entries sharing depth-1 bits but
     // differing at bit depth-1: levels[depth-1] minus levels[depth].
-    struct BucketRange {
-      std::size_t outer_lo, outer_hi, inner_lo, inner_hi, total;
-    };
-    std::vector<BucketRange> buckets;
-    buckets.reserve(levels.size());
+    buckets.clear();
     for (std::size_t depth = levels.size(); depth-- > 1;) {
       const auto [outer_lo, outer_hi] = levels[depth - 1];
       const auto [inner_lo, inner_hi] = levels[depth];
@@ -267,14 +237,14 @@ void World::seed_routing_tables() {
     // then pour the remainder into the deepest buckets (closest
     // neighbours matter most for closest-peer correctness).
     constexpr std::size_t kLongRangeReserve = 2;
-    std::vector<std::size_t> alloc(buckets.size(), 0);
+    alloc.assign(buckets.size(), 0);
     std::size_t want = 0;
     for (std::size_t b = 0; b < buckets.size(); ++b) {
       alloc[b] = std::min(buckets[b].total, dht::kBucketSize);
       want += alloc[b];
     }
     if (want > budget) {
-      std::vector<std::size_t> reserve(buckets.size(), 0);
+      reserve.assign(buckets.size(), 0);
       std::size_t reserved = 0;
       for (std::size_t b = 0; b < buckets.size(); ++b) {
         reserve[b] = std::min(alloc[b], kLongRangeReserve);
@@ -306,6 +276,10 @@ void World::seed_routing_tables() {
       }
     }
 
+    std::vector<Entry> entries;
+    std::size_t planned = 0;
+    for (const std::size_t take : alloc) planned += take;
+    entries.reserve(planned);
     for (std::size_t b = 0; b < buckets.size(); ++b) {
       // The candidate set is [outer_lo, outer_hi) minus [inner_lo,
       // inner_hi): two contiguous runs of the sorted array, addressable
@@ -325,7 +299,7 @@ void World::seed_routing_tables() {
       // Fisher-Yates the dense version ran, with the handful of
       // displaced positions tracked in a sparse overlay so the draw
       // sequence (and therefore every seeded world) is unchanged.
-      std::vector<std::pair<std::size_t, std::size_t>> moved;  // pos -> t
+      moved.clear();
       const auto value_at = [&](std::size_t pos) {
         for (const auto& [p, t] : moved)
           if (p == pos) return t;
@@ -346,38 +320,10 @@ void World::seed_routing_tables() {
                              static_cast<std::int64_t>(total - pick) - 1));
         const std::size_t chosen = value_at(swap_with);
         set_at(swap_with, value_at(pick));
-        plan.push_back(static_cast<std::uint32_t>(chosen));
+        entries.push_back(sorted[chosen]);
       }
     }
-  };
-
-  const auto seed_node = [&](std::size_t i,
-                             const std::vector<std::uint32_t>& plan) {
-    auto& table = dht_nodes_[i]->routing_table();
-    for (const std::uint32_t chosen : plan) {
-      const Keyed& keyed = sorted[chosen];
-      table.upsert(dht_nodes_[keyed.index]->self(), dht::Key(keyed.key));
-    }
-  };
-
-  for (std::size_t block = 0; block < node_total; block += kPlanBlock) {
-    const std::size_t block_end = std::min(node_total, block + kPlanBlock);
-    for (std::size_t i = block; i < block_end; ++i)
-      plan_node(i, plans[i - block]);
-    if (workers <= 1) {
-      for (std::size_t i = block; i < block_end; ++i)
-        seed_node(i, plans[i - block]);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(workers);
-      for (std::size_t w = 0; w < workers; ++w) {
-        pool.emplace_back([&, w] {
-          for (std::size_t i = block + w; i < block_end; i += workers)
-            seed_node(i, plans[i - block]);
-        });
-      }
-      for (auto& thread : pool) thread.join();
-    }
+    table.bulk_load(std::move(entries));
   }
 }
 

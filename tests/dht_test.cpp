@@ -144,6 +144,84 @@ TEST(RoutingTableTest, RemoveEvictsPeer) {
   EXPECT_EQ(table.size(), 1u);
 }
 
+TEST(RoutingTableTest, RefreshSharesUnchangedContactsAndReplacesMovedOnes) {
+  RoutingTable table(Key::for_peer(synthetic_peer_id(0)));
+  for (std::uint64_t i = 1; i <= 60; ++i) table.upsert(make_ref(i));
+  const auto before = table.entries();
+
+  // Re-upserting every peer in insertion order rotates each to its
+  // bucket's tail in turn: the same order, and the same shared contacts.
+  for (std::uint64_t i = 1; i <= 60; ++i) table.upsert(make_ref(i));
+  const auto after = table.entries();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].key, before[i].key);
+    EXPECT_EQ(after[i].peer.get(), before[i].peer.get());
+  }
+
+  // Same id and node, new address list: operator== alone would miss it.
+  PeerRef moved = make_ref(7);
+  moved.addresses = {synthetic_address(4000)};
+  EXPECT_TRUE(table.upsert(moved));
+  EXPECT_EQ(table.size(), before.size());
+  bool found = false;
+  for (const auto& peer : table.all_peers()) {
+    if (peer.id != moved.id) continue;
+    found = true;
+    EXPECT_EQ(peer.addresses, moved.addresses);
+  }
+  EXPECT_TRUE(found);
+}
+
+// Bulk-loads `peers` and upserts them one by one into a second table;
+// both must agree on everything the table exposes. Returns the upserted
+// table.
+RoutingTable expect_bulk_load_matches_upserts(
+    const std::vector<PeerRef>& peers, std::size_t cap) {
+  const Key local = Key::for_peer(synthetic_peer_id(0));
+  RoutingTable sequential(local, cap);
+  std::vector<RoutingTable::Entry> entries;
+  for (const auto& peer : peers) {
+    sequential.upsert(peer);
+    entries.push_back({Key::for_peer(peer.id),
+                       std::make_shared<const PeerRef>(peer)});
+  }
+  RoutingTable bulk(local, cap);
+  bulk.bulk_load(std::move(entries));
+
+  EXPECT_EQ(bulk.size(), sequential.size());
+  EXPECT_EQ(bulk.diversity_rejections(), sequential.diversity_rejections());
+  for (std::size_t b = 0; b < kBucketCount; ++b)
+    EXPECT_EQ(bulk.bucket_size(b), sequential.bucket_size(b)) << b;
+  const auto lhs = bulk.all_peers();
+  const auto rhs = sequential.all_peers();
+  EXPECT_EQ(lhs.size(), rhs.size());
+  for (std::size_t i = 0; i < std::min(lhs.size(), rhs.size()); ++i) {
+    EXPECT_EQ(lhs[i].id, rhs[i].id);
+    EXPECT_EQ(lhs[i].node, rhs[i].node);
+    EXPECT_EQ(lhs[i].addresses, rhs[i].addresses);
+  }
+  return sequential;
+}
+
+TEST(RoutingTableTest, BulkLoadMatchesSequentialUpserts) {
+  // 800 peers from a seeded shuffle, the local peer among them: the
+  // shallow buckets see far more than k candidates, and the ids span
+  // four /16 classes, so cap 2 rejects within buckets too.
+  std::vector<PeerRef> peers;
+  for (std::uint64_t i = 0; i < 800; ++i) peers.push_back(make_ref(i));
+  sim::Rng rng(2022);
+  for (std::size_t i = peers.size(); i-- > 1;) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(i)));
+    std::swap(peers[i], peers[j]);
+  }
+  const RoutingTable uncapped = expect_bulk_load_matches_upserts(peers, 0);
+  EXPECT_EQ(uncapped.bucket_size(0), kBucketSize);
+  const RoutingTable capped = expect_bulk_load_matches_upserts(peers, 2);
+  EXPECT_GT(capped.diversity_rejections(), 0u);
+}
+
 // --------------------------------------------------------------------------
 // RoutingTable: per-bucket IP-diversity cap (docs/ADVERSARY.md)
 // --------------------------------------------------------------------------

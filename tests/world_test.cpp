@@ -2,6 +2,8 @@
 // pre-convergence, churn dynamics and end-to-end lookups over the world.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "dht/dht_node.h"
 #include "world/world.h"
 
@@ -161,6 +163,38 @@ TEST(WorldTest, DeterministicForSameSeed) {
     EXPECT_EQ(a.profile(i).country, b.profile(i).country);
     EXPECT_EQ(a.profile(i).dialable, b.profile(i).dialable);
   }
+}
+
+// FNV-1a over every node's seeded table: each entry's id bytes and node
+// id, in all_peers() order. Pins the seeding plan, the rng draw stream
+// and the per-bucket insertion order.
+std::uint64_t seeded_tables_digest(World& world) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint8_t byte) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  };
+  for (std::size_t i = 0; i < world.size(); ++i) {
+    for (const auto& peer : world.dht(i).routing_table().all_peers()) {
+      for (const std::uint8_t byte : peer.id.encode()) mix(byte);
+      for (int shift = 0; shift < 32; shift += 8)
+        mix(static_cast<std::uint8_t>(peer.node >> shift));
+    }
+  }
+  return hash;
+}
+
+TEST(WorldTest, SeededRoutingTablesAreUnchanged) {
+  WorldConfig uncapped = small_config(2000, /*seed=*/5);
+  uncapped.enable_churn = false;
+  uncapped.max_routing_entries = std::numeric_limits<std::size_t>::max();
+  World wide(uncapped);
+  EXPECT_EQ(seeded_tables_digest(wide), 0xbb033bf3366085eeULL);
+
+  WorldConfig capped = uncapped;
+  capped.max_routing_entries = 64;
+  World narrow(capped);
+  EXPECT_EQ(seeded_tables_digest(narrow), 0x0daca09f9e4fcd2eULL);
 }
 
 }  // namespace
