@@ -26,8 +26,8 @@
 // capped Sybil run keeps every bucket's adversarial occupancy within the
 // cap while the uncapped run exceeds it; the flash crowd coalesces to a
 // single upstream retrieval; and a reduced-scale replay of the defended
-// eclipse workload is byte-identical across the timer-wheel and
-// binary-heap scheduler backends. Any failure exits non-zero.
+// eclipse workload, run twice from the same seed, is byte-identical.
+// Any failure exits non-zero.
 //
 // Writes a JSONL artifact (one sample per line) for plotting; path
 // overridable via IPFS_BENCH_ARTIFACT.
@@ -85,7 +85,6 @@ struct ArmResult {
 
 ArmResult run_retrieval_arm(bool attacked, bool defended, std::uint64_t seed,
                             std::size_t honest_peers, int rounds,
-                            sim::SchedulerBackend backend,
                             std::string* trace_dump = nullptr) {
   // The eclipse target must be known at build time, so the object is
   // hashed through a scratch store first.
@@ -97,7 +96,6 @@ ArmResult run_retrieval_arm(bool attacked, bool defended, std::uint64_t seed,
   builder.peers(honest_peers)
       .seed(seed)
       .single_region(20.0)
-      .scheduler(backend)
       .dht_servers(true);
   if (trace_dump != nullptr) builder.trace_capacity(400'000);
   if (defended)
@@ -346,14 +344,13 @@ int main() {
   const std::size_t honest_peers =
       bench::env_size("IPFS_BENCH_PEERS", bench::scaled(64, 32));
   const int rounds = static_cast<int>(bench::scaled(8, 4));
-  const auto wheel = sim::SchedulerBackend::kTimerWheel;
 
   const ArmResult baseline =
-      run_retrieval_arm(false, true, seed, honest_peers, rounds, wheel);
+      run_retrieval_arm(false, true, seed, honest_peers, rounds);
   const ArmResult eclipse_off =
-      run_retrieval_arm(true, false, seed, honest_peers, rounds, wheel);
+      run_retrieval_arm(true, false, seed, honest_peers, rounds);
   const ArmResult eclipse_on =
-      run_retrieval_arm(true, true, seed, honest_peers, rounds, wheel);
+      run_retrieval_arm(true, true, seed, honest_peers, rounds);
 
   std::printf("world: %zu honest dht servers, %d retrieval rounds/arm, "
               "eclipse attackers=%zu min_cpl=%d\n\n",
@@ -445,15 +442,13 @@ int main() {
        "flash crowd fully served through one upstream P2P retrieval");
 
   // ---- Determinism probe ---------------------------------------------------
-  // Replays a reduced defended-eclipse workload under both scheduler
-  // backends and compares the full exported trace streams byte-for-byte.
+  // Replays a reduced defended-eclipse workload twice from the same seed
+  // and compares the full exported trace streams byte-for-byte.
   std::string dumps[2];
-  run_retrieval_arm(true, true, seed, 24, 2,
-                    sim::SchedulerBackend::kTimerWheel, &dumps[0]);
-  run_retrieval_arm(true, true, seed, 24, 2,
-                    sim::SchedulerBackend::kBinaryHeap, &dumps[1]);
+  run_retrieval_arm(true, true, seed, 24, 2, &dumps[0]);
+  run_retrieval_arm(true, true, seed, 24, 2, &dumps[1]);
   const bool deterministic = !dumps[0].empty() && dumps[0] == dumps[1];
-  std::printf("determinism probe (wheel vs heap trace bytes): %s\n",
+  std::printf("determinism probe (same-seed replay trace bytes): %s\n",
               deterministic ? "identical" : "MISMATCH");
 
   std::printf("artifact: %s\n", artifact_path.c_str());

@@ -14,8 +14,8 @@
 //      log-structured store (one group fsync per batch, wall-clock).
 //   D. Acked-put durability: a >= 300-seed crash sweep over the
 //      write-behind queue (every acked put readable after a seeded
-//      power cut) plus a wheel-vs-heap scheduler probe on persist-store
-//      simfuzz schedules, whose traces must be byte-identical.
+//      power cut) plus a same-seed replay probe on persist-store simfuzz
+//      schedules, whose traces must be byte-identical.
 //
 // The bench self-gates: any failed leg prints FAIL and exits nonzero.
 #include <chrono>
@@ -64,7 +64,7 @@ int main() {
       "Ablation: Bitswap 1.2.0 data plane + persistent async blockstore",
       "gates: 8-peer session >= 3x serial fetch; completes at 5% loss; "
       "write-behind >= 5x fsync-per-put; 300-seed acked-crash sweep + "
-      "byte-identical wheel/heap traces");
+      "byte-identical same-seed replay traces");
 
   const char* artifact_env = std::getenv("IPFS_BENCH_ARTIFACT");
   const std::string artifact_path =
@@ -336,10 +336,10 @@ int main() {
            << ",\"crashes\":" << sweep_crashes << ",\"acked_checked\":"
            << sweep_acked_checked << "}\n";
 
-  // --- Leg D2: wheel vs heap trace determinism on persist schedules -------
-  // Full simfuzz schedules with the persistent data plane forced on,
-  // replayed under both scheduler backends; fingerprints and captured
-  // traces must match byte for byte.
+  // --- Leg D2: same-seed trace determinism on persist schedules ----------
+  // Full simfuzz schedules with the persistent data plane forced on, each
+  // run twice from the same seed; fingerprints and captured traces must
+  // match byte for byte.
   const std::size_t probe_schedules = bench::scaled(6, 3);
   std::size_t probe_ok = 0;
   for (std::size_t s = 0; s < probe_schedules; ++s) {
@@ -347,32 +347,30 @@ int main() {
         simfuzz::make_schedule(bench::run_seed() + 7000 + s);
     params.persist_stores = true;
     params.capture_trace = true;
-    params.scheduler = sim::SchedulerBackend::kTimerWheel;
-    const simfuzz::ScheduleReport wheel = simfuzz::run_schedule(params);
-    params.scheduler = sim::SchedulerBackend::kBinaryHeap;
-    const simfuzz::ScheduleReport heap = simfuzz::run_schedule(params);
-    if (!wheel.ok() || !heap.ok()) {
+    const simfuzz::ScheduleReport first = simfuzz::run_schedule(params);
+    const simfuzz::ScheduleReport second = simfuzz::run_schedule(params);
+    if (!first.ok() || !second.ok()) {
       std::printf("FAIL: persist schedule seed %llu violated invariants\n%s%s",
                   static_cast<unsigned long long>(params.seed),
-                  wheel.failure_summary().c_str(),
-                  heap.failure_summary().c_str());
+                  first.failure_summary().c_str(),
+                  second.failure_summary().c_str());
       pass = false;
       continue;
     }
-    if (wheel.stats.fingerprint() != heap.stats.fingerprint() ||
-        wheel.trace_jsonl != heap.trace_jsonl) {
+    if (first.stats.fingerprint() != second.stats.fingerprint() ||
+        first.trace_jsonl != second.trace_jsonl) {
       std::printf(
-          "FAIL: wheel/heap divergence on persist schedule seed %llu\n",
+          "FAIL: same-seed replay divergence on persist schedule seed %llu\n",
           static_cast<unsigned long long>(params.seed));
       pass = false;
       continue;
     }
     ++probe_ok;
   }
-  std::printf("\nleg D2: wheel vs heap on persist-store schedules\n");
-  std::printf("  %zu/%zu schedules byte-identical across backends\n",
+  std::printf("\nleg D2: same-seed replay on persist-store schedules\n");
+  std::printf("  %zu/%zu schedules byte-identical across replays\n",
               probe_ok, probe_schedules);
-  artifact << "{\"leg\":\"backend_probe\",\"schedules\":" << probe_schedules
+  artifact << "{\"leg\":\"replay_probe\",\"schedules\":" << probe_schedules
            << ",\"identical\":" << probe_ok << "}\n";
 
   artifact << "{\"summary\":{\"speedup\":" << speedup

@@ -18,8 +18,8 @@
 // the catalog evenly); per-replica labeled counters sum exactly to the
 // aggregate instruments; removing a replica moves at most ~1/N of the
 // key space and only keys the removed replica owned; and a reduced
-// fleet replay produces byte-identical trace streams under the
-// timer-wheel and binary-heap schedulers.
+// fleet replay run twice from the same seed produces byte-identical
+// trace streams.
 //
 // Writes a JSONL artifact (one sample per line); path overridable via
 // IPFS_BENCH_ARTIFACT.
@@ -122,13 +122,12 @@ RebalancePanel run_rebalance_panel(std::size_t replicas, std::size_t vnodes,
   return panel;
 }
 
-// ---- Backend determinism probe --------------------------------------------
+// ---- Replay determinism probe ---------------------------------------------
 // A reduced fleet replay on the proven-deterministic Scenario fabric:
 // two replicas via the .gateway_fleet() knob, a publisher, pinned and
 // P2P-fetched objects, staggered GETs. Exports the full registry (trace
-// stream included) for byte comparison across scheduler backends.
-std::string run_determinism_probe(std::uint64_t seed,
-                                  sim::SchedulerBackend backend) {
+// stream included) for byte comparison across same-seed replays.
+std::string run_determinism_probe(std::uint64_t seed) {
   gateway::FleetConfig fleet_config;
   fleet_config.replicas = 2;
   fleet_config.vnodes = 16;
@@ -141,7 +140,6 @@ std::string run_determinism_probe(std::uint64_t seed,
                              .peers(24)
                              .seed(seed)
                              .single_region(25.0)
-                             .scheduler(backend)
                              .trace_capacity(200'000)
                              .dht_servers(true)
                              .gateway_fleet(fleet_config)
@@ -317,10 +315,10 @@ int main() {
               rebalance.restored ? "yes" : "NO");
 
   std::string dumps[2];
-  dumps[0] = run_determinism_probe(seed, sim::SchedulerBackend::kTimerWheel);
-  dumps[1] = run_determinism_probe(seed, sim::SchedulerBackend::kBinaryHeap);
+  dumps[0] = run_determinism_probe(seed);
+  dumps[1] = run_determinism_probe(seed);
   const bool deterministic = !dumps[0].empty() && dumps[0] == dumps[1];
-  std::printf("determinism probe (wheel vs heap trace bytes): %s\n",
+  std::printf("determinism probe (same-seed replay trace bytes): %s\n",
               deterministic ? "identical" : "MISMATCH");
 
   // ---- Artifact ------------------------------------------------------------
@@ -395,7 +393,7 @@ int main() {
   gate(rebalance.restored, "re-adding the replica restores the exact "
        "pre-removal assignment");
   gate(deterministic,
-       "wheel and heap schedulers produce byte-identical fleet traces");
+       "same-seed replays produce byte-identical fleet traces");
 
   std::printf("artifact: %s\n", artifact_path.c_str());
   return pass ? 0 : 1;

@@ -20,8 +20,8 @@
 // Acceptance gates: indexer and race median TTFB at least 3x below the
 // DHT-only median; degraded-race successes >= DHT-only successes. A
 // reduced-scale determinism probe additionally replays a racing
-// workload under both scheduler backends and requires byte-identical
-// trace streams. Any failure exits non-zero.
+// workload twice from the same seed and requires byte-identical trace
+// streams. Any failure exits non-zero.
 //
 // Writes a JSONL artifact (one sample per line) for plotting; path
 // overridable via IPFS_BENCH_ARTIFACT.
@@ -44,18 +44,15 @@ using namespace ipfs;
 namespace {
 
 // Replays a reduced-scale race workload (DHT walk vs indexer query,
-// loser cancelled) under the timer-wheel and the legacy binary-heap
-// scheduler and compares the full exported trace streams byte-for-byte.
-bool backend_determinism_probe(std::uint64_t seed) {
+// loser cancelled) twice from the same seed and compares the full
+// exported trace streams byte-for-byte.
+bool replay_determinism_probe(std::uint64_t seed) {
   std::string dumps[2];
-  const sim::SchedulerBackend backends[2] = {
-      sim::SchedulerBackend::kTimerWheel, sim::SchedulerBackend::kBinaryHeap};
   for (int b = 0; b < 2; ++b) {
     auto swarm = scenario::ScenarioBuilder()
                      .peers(24)
                      .seed(seed)
                      .single_region(25.0)
-                     .scheduler(backends[b])
                      .trace_capacity(200'000)
                      .dht_servers(true)
                      .indexers(2)
@@ -318,8 +315,8 @@ int main() {
   }
   std::printf("artifact: %s\n", artifact_path.c_str());
 
-  const bool deterministic = backend_determinism_probe(bench::run_seed());
-  std::printf("determinism probe (wheel vs heap trace bytes): %s\n",
+  const bool deterministic = replay_determinism_probe(bench::run_seed());
+  std::printf("determinism probe (same-seed replay trace bytes): %s\n",
               deterministic ? "identical" : "MISMATCH");
 
   return pass && deterministic ? 0 : 1;

@@ -16,7 +16,7 @@
 //
 // Acceptance gate: the pubsub median resolve must be at least 5x below
 // the DHT-only median. A reduced-scale determinism probe additionally
-// replays a pubsub workload under both scheduler backends and requires
+// replays a pubsub workload twice from the same seed and requires
 // byte-identical trace streams. Either failure exits non-zero.
 //
 // Writes a JSONL artifact (one sample per line) for plotting; path
@@ -39,19 +39,15 @@ using namespace ipfs;
 
 namespace {
 
-// Replays a reduced-scale pubsub workload under the timer-wheel and the
-// legacy binary-heap scheduler and compares the full exported trace
-// streams byte-for-byte.
-bool backend_determinism_probe(std::uint64_t seed) {
+// Replays a reduced-scale pubsub workload twice from the same seed and
+// compares the full exported trace streams byte-for-byte.
+bool replay_determinism_probe(std::uint64_t seed) {
   std::string dumps[2];
-  const sim::SchedulerBackend backends[2] = {
-      sim::SchedulerBackend::kTimerWheel, sim::SchedulerBackend::kBinaryHeap};
   for (int b = 0; b < 2; ++b) {
     auto swarm = scenario::ScenarioBuilder()
                      .peers(24)
                      .seed(seed)
                      .single_region(25.0)
-                     .scheduler(backends[b])
                      .trace_capacity(200'000)
                      .pubsub(true)
                      .build();
@@ -281,8 +277,8 @@ int main() {
   }
   std::printf("artifact: %s\n", artifact_path.c_str());
 
-  const bool deterministic = backend_determinism_probe(bench::run_seed());
-  std::printf("determinism probe (wheel vs heap trace bytes): %s\n",
+  const bool deterministic = replay_determinism_probe(bench::run_seed());
+  std::printf("determinism probe (same-seed replay trace bytes): %s\n",
               deterministic ? "identical" : "MISMATCH");
 
   return pass && deterministic ? 0 : 1;

@@ -1,5 +1,6 @@
 // Figure 4b: request count at the gateway over one day (5-minute bins
-// in the paper; 30-minute bins here to keep the output readable).
+// in the paper; 30-minute bins here to keep the output readable). An
+// empty request log exits nonzero.
 #include <cstdio>
 
 #include "gateway_common.h"
@@ -23,6 +24,10 @@ int main() {
 
   const auto& log = experiment.workload->log();
   std::printf("requests served: %zu\n\n", log.size());
+  if (log.empty()) {
+    std::printf("no requests logged\n");
+    return 1;
+  }
 
   constexpr int kBins = 48;  // 30-minute bins
   std::vector<std::size_t> bins(kBins, 0);

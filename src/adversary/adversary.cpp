@@ -169,7 +169,7 @@ void AttackPlan::arm() {
   }
 
   if (config_.eclipse_target) {
-    event_timers_.push_back(network_.schedule_after(
+    event_timers_.push_back(network_.simulator().schedule_after(
         config_.eclipse.announce_at, [this] { announce_eclipse(); }));
   }
 
@@ -179,7 +179,7 @@ void AttackPlan::arm() {
       const sim::Duration at =
           flash.start + uniform_duration(flash_rng_, 0, flash.window);
       event_timers_.push_back(
-          network_.schedule_after(at, [this, slot] {
+          network_.simulator().schedule_after(at, [this, slot] {
             ++counters_.flash_requests;
             if (flash_handler_) flash_handler_(slot);
           }));
@@ -195,8 +195,8 @@ void AttackPlan::arm() {
           storm_rng_, storm.start, storm.start + storm.window);
       const sim::Duration downtime = uniform_duration(
           storm_rng_, storm.min_downtime, storm.max_downtime);
-      storm_timers_.push_back(network_.schedule_daemon_for(
-          storm_managed_[i], crash_at, [this, i, downtime] {
+      storm_timers_.push_back(network_.simulator().schedule_daemon_after(
+          crash_at, [this, i, downtime] {
             const sim::NodeId node = storm_managed_[i];
             // Another fault source (an overlapping FaultPlan) may already
             // hold the node down; leave its bookkeeping alone.
@@ -205,17 +205,16 @@ void AttackPlan::arm() {
             storm_down_[i] = true;
             ++counters_.storm_crashes;
             notify(node, false);
-            storm_timers_.push_back(
-                network_.schedule_daemon_for(
-                    node, downtime, [this, i] {
-                      if (!storm_down_[i]) return;
-                      storm_down_[i] = false;
-                      const sim::NodeId restored = storm_managed_[i];
-                      if (network_.online(restored)) return;
-                      network_.set_online(restored, true);
-                      ++counters_.storm_restarts;
-                      notify(restored, true);
-                    }));
+            storm_timers_.push_back(network_.simulator().schedule_daemon_after(
+                downtime, [this, i] {
+                  if (!storm_down_[i]) return;
+                  storm_down_[i] = false;
+                  const sim::NodeId restored = storm_managed_[i];
+                  if (network_.online(restored)) return;
+                  network_.set_online(restored, true);
+                  ++counters_.storm_restarts;
+                  notify(restored, true);
+                }));
           }));
     }
   }
@@ -250,7 +249,7 @@ void AttackPlan::schedule_flood_round(std::size_t round) {
   const SybilConfig& sybil = *config_.sybil;
   const sim::Duration at =
       sybil.start + static_cast<sim::Duration>(round) * sybil.interval;
-  event_timers_.push_back(network_.schedule_after(at, [this] {
+  event_timers_.push_back(network_.simulator().schedule_after(at, [this] {
     for (std::size_t v = 0; v < victims_.size(); ++v) {
       const dht::PeerRef& victim = victims_[v];
       if (victim.node == sim::kInvalidNode || !network_.online(victim.node))

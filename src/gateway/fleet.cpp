@@ -77,7 +77,7 @@ void GatewayFleet::handle_get(const Cid& cid,
     // No routable replica (all drained): typed failure, nothing served.
     GatewayResponse response;
     response.source = ServedFrom::kFailed;
-    network_.schedule_after(
+    network_.simulator().schedule_after(
         0, [response, done = std::move(done)] { done(response); });
     return;
   }

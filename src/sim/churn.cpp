@@ -30,10 +30,9 @@ void ChurnProcess::schedule_next(std::size_t index, bool currently_online,
                                    rng_.uniform());
     if (length < seconds(1)) length = seconds(1);
   }
-  network_.schedule_daemon_for(managed.node, length,
-                               [this, index, currently_online] {
-                                 transition(index, !currently_online);
-                               });
+  simulator_.schedule_daemon_after(length, [this, index, currently_online] {
+    transition(index, !currently_online);
+  });
 }
 
 void ChurnProcess::transition(std::size_t index, bool go_online) {

@@ -1,26 +1,22 @@
-// Scheduled-event primitives shared by the scheduler backends.
+// Scheduled-event primitives: the cancellation handle and the in-place
+// callback storage the Simulator's event slab is built from.
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
-#include <functional>
+#include <cstddef>
 #include <memory>
-#include <vector>
-
-#include "sim/time.h"
+#include <new>
+#include <type_traits>
+#include <utility>
 
 namespace ipfs::sim {
 
 class Simulator;
-namespace parallel {
-class ShardEngine;
-}
 
 // Handle for cancelling a scheduled event.
 //
 // Cancellation semantics (relied on by the fault-injection harness):
 //   - cancel() before the event fires guarantees the callback never runs,
-//     under run(), run_until() and step() alike.
+//     under run() and run_until() alike.
 //   - cancel() after the event fired (or on a default-constructed handle)
 //     is a no-op; active() is false in both cases.
 //   - Cancelling a foreground event may let run() return earlier, since
@@ -34,66 +30,60 @@ class Timer {
 
  private:
   friend class Simulator;
-  friend class TimerWheel;
-  friend class parallel::ShardEngine;
-  friend struct Event;
   struct State {
     bool alive = true;
     bool daemon = false;
     // Owning scheduler's live-foreground-event count, decremented when a
-    // non-daemon event is cancelled. A plain pointer (not a Simulator*)
-    // so the sharded engine's per-run accounting reuses the same handle
-    // type without the schedulers knowing about each other.
+    // non-daemon event is cancelled.
     std::size_t* foreground_pending = nullptr;
   };
   explicit Timer(std::shared_ptr<State> state) : state_(std::move(state)) {}
   std::shared_ptr<State> state_;
 };
 
-// One scheduled callback. Events are totally ordered by (when, sequence);
-// the sequence number gives FIFO ordering for equal timestamps. Every
-// scheduler backend must execute live events in exactly this order, so a
-// seeded simulation produces an identical trace on either backend.
-struct Event {
-  Time when = 0;
-  std::uint64_t sequence = 0;
-  std::function<void()> fn;
-  std::shared_ptr<Timer::State> state;
-
-  bool operator>(const Event& other) const {
-    if (when != other.when) return when > other.when;
-    return sequence > other.sequence;
-  }
-};
-
-// Binary min-heap of events ordered by (when, sequence). Unlike
-// std::priority_queue this exposes a mutable top() so entries can be
-// moved out on pop without copying the closure.
-class EventHeap {
+// Move-free callable with in-place storage. Events never move once
+// slotted (heap records carry slot indices, the slab has stable
+// addresses), so only invoke + destroy are needed. Captures larger than
+// the buffer fall back to one heap allocation; std::function (libstdc++
+// heap-allocates any capture over 16 bytes) would cost one for nearly
+// every fabric closure.
+class InlineTask {
  public:
-  bool empty() const { return events_.empty(); }
-  std::size_t size() const { return events_.size(); }
+  static constexpr std::size_t kInlineBytes = 80;
 
-  void push(Event event) {
-    events_.push_back(std::move(event));
-    std::push_heap(events_.begin(), events_.end(), After{});
+  InlineTask() = default;
+  InlineTask(const InlineTask&) = delete;
+  InlineTask& operator=(const InlineTask&) = delete;
+  ~InlineTask() { reset(); }
+
+  template <typename F>
+  void bind(F&& fn) {
+    reset();
+    using Fn = std::decay_t<F>;
+    if constexpr (sizeof(Fn) <= kInlineBytes &&
+                  alignof(Fn) <= alignof(std::max_align_t)) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(fn));
+      invoke_ = [](void* p) { (*static_cast<Fn*>(p))(); };
+      destroy_ = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
+    } else {
+      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(fn)));
+      invoke_ = [](void* p) { (**static_cast<Fn**>(p))(); };
+      destroy_ = [](void* p) { delete *static_cast<Fn**>(p); };
+    }
   }
 
-  Event& top() { return events_.front(); }
-  const Event& top() const { return events_.front(); }
+  void operator()() { invoke_(buf_); }
 
-  Event pop() {
-    std::pop_heap(events_.begin(), events_.end(), After{});
-    Event event = std::move(events_.back());
-    events_.pop_back();
-    return event;
+  void reset() {
+    if (destroy_ != nullptr) destroy_(buf_);
+    invoke_ = nullptr;
+    destroy_ = nullptr;
   }
 
  private:
-  struct After {
-    bool operator()(const Event& a, const Event& b) const { return a > b; }
-  };
-  std::vector<Event> events_;
+  void (*invoke_)(void*) = nullptr;
+  void (*destroy_)(void*) = nullptr;
+  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
 };
 
 }  // namespace ipfs::sim

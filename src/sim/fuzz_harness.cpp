@@ -256,7 +256,6 @@ std::string ScheduleParams::describe() const {
       << " persist_stores=" << (persist_stores ? 1 : 0)
       << " persist_flush_batch=" << persist_flush_batch
       << " persist_flush_interval_us=" << persist_flush_interval_us
-      << " shards=" << shards
       << " attack=" << attack_name(attack)
       << " diversity_cap=" << diversity_cap
       << " provider_quorum=" << provider_quorum
@@ -358,8 +357,6 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
   scenario::Scenario fabric =
       scenario::ScenarioBuilder()
           .seed(params.seed)
-          .scheduler(params.scheduler)
-          .shards(params.shards)
           .regions(fuzz_latency_matrix())
           .trace_capacity(200'000)
           .indexers(params.indexer_count)
@@ -368,6 +365,7 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
           .routing(routing::RoutingConfig::Mode::kRace)
           .build();
   sim::Network& network = fabric.network();
+  sim::Simulator& simulator = fabric.simulator();
 
   // The builder appends indexer nodes before the population below, so
   // the world's NodeIds start past them; node_index maps back to the
@@ -466,14 +464,14 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
                       [](bool, sim::Duration) {});
   }
   for (std::size_t i = kBootstrapCount; i < node_count; ++i) {
-    network.schedule_after(
+    simulator.schedule_after(
         sim::milliseconds(200.0 * static_cast<double>(i)), [&, i] {
           nodes[i]->bootstrap(seeds_for(i), [&, i](bool ok) {
             bootstrap_ok[i] = ok ? 1 : 0;
           });
         });
   }
-  stats.events_executed += network.run();
+  stats.events_executed += simulator.run();
   for (std::size_t i = 0; i < node_count; ++i) {
     if (bootstrap_ok[i] != 1) {
       std::ostringstream out;
@@ -566,8 +564,8 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
   // few heartbeat rounds explicitly.
   const sim::Duration mesh_settle =
       4 * nodes[0]->pubsub()->config().heartbeat_interval + sim::seconds(5);
-  stats.events_executed += network.run_until(network.now() + mesh_settle);
-  stats.events_executed += network.run();
+  stats.events_executed += simulator.run_until(network.now() + mesh_settle);
+  stats.events_executed += simulator.run();
   if (std::getenv("IPFS_FUZZ_DEBUG_PUBSUB") != nullptr) {
     for (std::size_t i = 0; i < node_count; ++i) {
       std::fprintf(stderr, "node %2zu id=%u stable=%d topics:", i,
@@ -627,12 +625,12 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
           0.0, sim::to_seconds(params.workload_window)));
       const sim::Duration downtime =
           sim::seconds(indexer_rng.uniform(10.0, 60.0));
-      network.schedule_after(crash_at, [&, i, downtime] {
+      simulator.schedule_after(crash_at, [&, i, downtime] {
         const sim::NodeId id = fabric.indexer(i).node();
         network.set_online(id, false);
         fabric.indexer(i).handle_crash();
         ++stats.indexer_crashes;
-        network.schedule_after(downtime, [&, i, id] {
+        simulator.schedule_after(downtime, [&, i, id] {
           network.set_online(id, true);
           fabric.indexer(i).handle_restart();
         });
@@ -699,7 +697,7 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
 
     const sim::Duration publish_offset =
         sim::seconds(workload_rng.uniform(0.0, sim::to_seconds(window) / 4.0));
-    network.schedule_at(workload_start + publish_offset, [&, oi] {
+    simulator.schedule_at(workload_start + publish_offset, [&, oi] {
       FuzzObject& obj = objects[oi];
       OpRecord& op = stats.ops[oi];
       op.start = network.now();
@@ -722,7 +720,7 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
         // Retrievals chase the publish (never race it): schedule them
         // only once the provider records are out.
         for (const PlannedRetrieval& retrieval : planned[oi]) {
-          network.schedule_after(retrieval.delay_after_publish, [&, oi,
+          simulator.schedule_after(retrieval.delay_after_publish, [&, oi,
                                                                    retrieval] {
             OpRecord& op = stats.ops[retrieval.op_index];
             op.start = network.now();
@@ -872,7 +870,7 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
       flash_gateway =
           std::make_unique<gateway::Gateway>(network, gateway_config);
       flash_gateway->bootstrap(seeds_for(node_count), [](bool) {});
-      stats.events_executed += network.run();
+      stats.events_executed += simulator.run();
 
       attack->set_flash_request_handler([&](std::size_t slot) {
         flash_fired[slot] = 1;
@@ -889,7 +887,7 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
               // pipeline) should answer it.
               flash_repeat_fired[slot] = 1;
               ++stats.flash_repeat_fired;
-              network.schedule_after(sim::seconds(5), [&, slot] {
+              simulator.schedule_after(sim::seconds(5), [&, slot] {
                 flash_gateway->handle_get(
                     flash_cid, [&, slot](gateway::GatewayResponse repeat) {
                       ++flash_repeat_completed[slot];
@@ -929,7 +927,7 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
         static_cast<std::size_t>(pubsub_rng.uniform_int(16, 256)), pubsub_rng);
   }
   for (std::size_t pi = 0; pi < pubsub_ops.size(); ++pi) {
-    network.schedule_at(workload_start + pubsub_ops[pi].offset, [&, pi] {
+    simulator.schedule_at(workload_start + pubsub_ops[pi].offset, [&, pi] {
       PubsubPublishOp& op = pubsub_ops[pi];
       if (!network.online(nodes[op.publisher]->node())) return;  // crashed
       op.attempted = true;
@@ -950,12 +948,12 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
       params.long_horizon
           ? workload_start + sim::hours(26)
           : workload_start + window + sim::seconds(60);
-  stats.events_executed += network.run_until(horizon);
+  stats.events_executed += simulator.run_until(horizon);
 
   // ---- Phase 3: disarm background faults and drain -----------------------
   if (attack) attack->disarm();
   plan.disarm();
-  stats.events_executed += network.run();
+  stats.events_executed += simulator.run();
   stats.faults = plan.counters();
   const std::uint64_t storm_crashes =
       attack ? attack->counters().storm_crashes : 0;
@@ -982,9 +980,9 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
   }
 
   // (3) No leaked simulator events or pending exchanges.
-  if (network.foreground_pending() != 0) {
+  if (simulator.foreground_pending() != 0) {
     std::ostringstream out;
-    out << network.foreground_pending()
+    out << simulator.foreground_pending()
         << " live foreground event(s) leaked after the drain";
     violations.push_back(out.str());
   }

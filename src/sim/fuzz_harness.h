@@ -80,20 +80,9 @@ namespace ipfs::simfuzz {
 struct ScheduleParams {
   std::uint64_t seed = 0;
 
-  // Event scheduler backend; the legacy binary heap stays selectable so
-  // a schedule can be replayed under both and fingerprint-compared.
-  sim::SchedulerBackend scheduler = sim::SchedulerBackend::kTimerWheel;
-
-  // Sharded parallel engine (src/sim/parallel): 0 keeps the sequential
-  // Simulator; N >= 1 partitions the fabric into N per-shard event
-  // queues with lookahead windows. The shard-determinism test replays
-  // every schedule at shards=1 vs shards=4 and asserts byte-identical
-  // fingerprints and (par.*-stripped) trace streams.
-  std::size_t shards = 0;
-
   // Serialize the trace stream into ScheduleReport::trace_jsonl even on
   // clean runs (normally only violations pay the serialization cost).
-  // The backend-determinism test compares these byte-for-byte.
+  // The same-seed replay test compares these byte-for-byte.
   bool capture_trace = false;
 
   // World shape.

@@ -117,7 +117,7 @@ void PerfExperiment::run_cycle(std::size_t cycle, std::function<void()> done) {
         results_.publishes[publisher_region].push_back(publish_trace);
         if (!publish_trace.ok) {
           // Nothing to retrieve; move on.
-          world_.network().schedule_after(
+          world_.simulator().schedule_after(
               config_.gap_between_cycles,
               [this, cycle, done = std::move(done)] {
                 run_cycle(cycle + 1, std::move(done));
@@ -147,7 +147,7 @@ void PerfExperiment::run_cycle(std::size_t cycle, std::function<void()> done) {
                     if (a != b) a->disconnect_from(b->node());
                   }
                 }
-                world_.network().schedule_after(
+                world_.simulator().schedule_after(
                     config_.gap_between_cycles, [this, cycle, done] {
                       run_cycle(cycle + 1, done);
                     });

@@ -385,24 +385,24 @@ TEST(IpfsNodeStoreTest, FlushTimerDrainsWriteBehindQueueAcrossRestarts) {
   ASSERT_EQ(store.queued_blocks(), 3u);
 
   // One interval later the daemon tick has flushed (drain + fsync).
-  swarm.network().run_until(swarm.network().now() +
-                            sim::microseconds(250'000));
+  swarm.simulator().run_until(swarm.simulator().now() +
+                              sim::microseconds(250'000));
   EXPECT_EQ(store.queued_blocks(), 0u);
   EXPECT_EQ(store.base().block_count(), 3u);
 
   // A crashed process takes its flush daemon with it: nothing drains.
   node.handle_crash();
   put_one();
-  swarm.network().run_until(swarm.network().now() +
-                            sim::microseconds(600'000));
+  swarm.simulator().run_until(swarm.simulator().now() +
+                              sim::microseconds(600'000));
   EXPECT_EQ(store.queued_blocks(), 1u);
 
   // Restart re-arms the cadence.
   std::vector<dht::PeerRef> seeds;
   for (int i = 0; i < 4; ++i) seeds.push_back(swarm.ref(i));
   node.handle_restart(seeds, [](bool) {});
-  swarm.network().run_until(swarm.network().now() +
-                            sim::microseconds(250'000));
+  swarm.simulator().run_until(swarm.simulator().now() +
+                              sim::microseconds(250'000));
   EXPECT_EQ(store.queued_blocks(), 0u);
 }
 

@@ -276,16 +276,15 @@ TEST(Pubsub, MeshRepairsAfterFaultPlanCrashRestarts) {
   }
 }
 
-TEST(Pubsub, SchedulerBackendsProduceIdenticalTraces) {
-  // The acceptance criterion's determinism probe at test scale: the same
-  // pubsub scenario under wheel and heap schedulers must serialize a
-  // byte-identical metrics registry (counters + trace stream).
-  auto run = [](sim::SchedulerBackend backend) {
+TEST(Pubsub, SameSeedProducesIdenticalTraces) {
+  // The determinism probe at test scale: the same seeded pubsub scenario,
+  // run twice, must serialize a byte-identical metrics registry
+  // (counters + trace stream).
+  auto run = [] {
     auto s = scenario::ScenarioBuilder()
                  .peers(16)
                  .seed(99)
                  .single_region(20.0)
-                 .scheduler(backend)
                  .pubsub(true)
                  .build();
     std::vector<DeliveryLog> logs;
@@ -299,10 +298,9 @@ TEST(Pubsub, SchedulerBackendsProduceIdenticalTraces) {
     return out.str();
   };
 
-  const std::string wheel = run(sim::SchedulerBackend::kTimerWheel);
-  const std::string heap = run(sim::SchedulerBackend::kBinaryHeap);
-  ASSERT_FALSE(wheel.empty());
-  EXPECT_EQ(wheel, heap);
+  const std::string first = run();
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(run(), first);
 }
 
 }  // namespace

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "sim/churn.h"
 #include "sim/faults.h"
@@ -74,12 +79,12 @@ TEST(SimulatorTest, EventsCanScheduleMoreEvents) {
 // --------------------------------------------------------------------------
 // Timer cancellation semantics (documented on sim::Timer): a cancel()
 // before the fire time guarantees the callback never runs, under run(),
-// run_until() and step() alike; cancelling after the fire is a no-op.
+// and run_until() alike; cancelling after the fire is a no-op.
 // --------------------------------------------------------------------------
 
 TEST(SimulatorTest, CancelledEventDoesNotUnmaskLaterEventsInRunUntil) {
   // Regression: a cancelled event at t <= deadline used to satisfy the
-  // deadline check, letting step() skip past it and execute a live event
+  // deadline check, letting the loop skip past it and execute a live event
   // *beyond* the deadline.
   Simulator simulator;
   bool late_fired = false;
@@ -135,14 +140,12 @@ TEST(SimulatorTest, CancellingForegroundEventLetsRunReturn) {
 }
 
 // --------------------------------------------------------------------------
-// Timer-wheel edge cases. The wheel must behave exactly like the
-// reference binary heap at its seams: events at the current instant,
-// events scheduled into the gap run_until() leaves between the clock and
-// the wheel cursor, and events beyond the wheel horizon that live in the
-// overflow heap.
+// Event-core edge cases: events at the current instant, work scheduled
+// into the gap run_until() leaves before the next pending event, events
+// far in the future, the fire-and-forget post() path, and daemons.
 // --------------------------------------------------------------------------
 
-TEST(TimerWheelTest, ScheduleAtNowFiresImmediately) {
+TEST(SimulatorTest, ScheduleAtNowFiresImmediately) {
   Simulator simulator;
   simulator.schedule_after(seconds(2), [] {});
   simulator.run();
@@ -157,11 +160,10 @@ TEST(TimerWheelTest, ScheduleAtNowFiresImmediately) {
   EXPECT_EQ(simulator.now(), seconds(3));
 }
 
-TEST(TimerWheelTest, ScheduleIntoCursorGapFiresInOrder) {
-  // run_until() can leave the wheel cursor ahead of the visible clock
-  // (it advanced toward the next populated slot). Events scheduled into
-  // that gap must still fire, in (when, sequence) order, before the
-  // event the cursor had advanced toward.
+TEST(SimulatorTest, ScheduleIntoRunUntilGapFiresInOrder) {
+  // run_until() can stop between events, leaving the clock short of the
+  // next pending event. Events scheduled into that gap must still fire,
+  // in (when, sequence) order, before the pending one.
   Simulator simulator;
   std::vector<int> order;
   simulator.schedule_after(seconds(10), [&] { order.push_back(10); });
@@ -175,7 +177,7 @@ TEST(TimerWheelTest, ScheduleIntoCursorGapFiresInOrder) {
   EXPECT_EQ(simulator.now(), seconds(10));
 }
 
-TEST(TimerWheelTest, CancelInsideCursorGapDoesNotFire) {
+TEST(SimulatorTest, CancelInsideRunUntilGapDoesNotFire) {
   Simulator simulator;
   bool late_fired = false;
   simulator.schedule_after(seconds(10), [&] { late_fired = true; });
@@ -186,26 +188,25 @@ TEST(TimerWheelTest, CancelInsideCursorGapDoesNotFire) {
   EXPECT_TRUE(late_fired);
 }
 
-TEST(TimerWheelTest, FarFutureEventsOverflowPastWheelHorizon) {
-  // The wheel covers ~51 simulated days; anything beyond sits in the
-  // overflow heap until the cursor approaches. Both sides of the horizon
-  // must fire, in order, including an event exactly at the boundary.
+// 2^42 us, about 51 simulated days: past the horizon of a 7-level,
+// 64-slot timer wheel, the usual place for a scheduler to special-case.
+constexpr Time kFarFuture = Time{1} << 42;
+
+TEST(SimulatorTest, FarFutureEventsFire) {
   Simulator simulator;
   std::vector<int> order;
-  const Time horizon = TimerWheel::kHorizon;
-  simulator.schedule_at(horizon + hours(100), [&] { order.push_back(3); });
-  simulator.schedule_at(horizon, [&] { order.push_back(2); });
+  simulator.schedule_at(kFarFuture + hours(100), [&] { order.push_back(3); });
+  simulator.schedule_at(kFarFuture, [&] { order.push_back(2); });
   simulator.schedule_at(hours(1), [&] { order.push_back(1); });
   simulator.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(simulator.now(), horizon + hours(100));
+  EXPECT_EQ(simulator.now(), kFarFuture + hours(100));
 }
 
-TEST(TimerWheelTest, CancelledOverflowEventsDoNotFire) {
+TEST(SimulatorTest, CancelledFarEventsDoNotFire) {
   Simulator simulator;
   bool near_fired = false;
-  Timer far = simulator.schedule_at(TimerWheel::kHorizon + seconds(1),
-                                    [] { FAIL(); });
+  Timer far = simulator.schedule_at(kFarFuture + seconds(1), [] { FAIL(); });
   simulator.schedule_after(seconds(1), [&] { near_fired = true; });
   far.cancel();
   simulator.run();
@@ -213,42 +214,152 @@ TEST(TimerWheelTest, CancelledOverflowEventsDoNotFire) {
   EXPECT_EQ(simulator.now(), seconds(1));
 }
 
-TEST(TimerWheelTest, BackendsExecuteIdenticalSeededSchedules) {
-  // Drive both backends through the same randomized schedule — bursty
-  // timestamps, ties, cancellations, re-entrant scheduling — and record
-  // every firing as (time, id). The sequences must match exactly.
-  const auto run_backend = [](SchedulerBackend backend) {
-    Simulator simulator(backend);
-    Rng rng(2024);
-    std::vector<std::pair<Time, int>> fired;
-    std::vector<Timer> timers;
-    int next_id = 0;
-    std::function<void(int)> fire = [&](int id) {
-      fired.emplace_back(simulator.now(), id);
-      // A third of firings reschedule follow-up work, like RPC chains.
-      if (rng.uniform(0.0, 1.0) < 0.33 && next_id < 3000) {
-        const int child = next_id++;
-        simulator.schedule_after(
-            microseconds(rng.uniform_int(0, 500'000)),
-            [&fire, child] { fire(child); });
-      }
-    };
-    for (int i = 0; i < 2000; ++i) {
-      const int id = next_id++;
-      // Cluster timestamps so slots collide and ties are common.
-      const Duration when = microseconds(rng.uniform_int(0, 50) * 10'000);
-      timers.push_back(
-          simulator.schedule_after(when, [&fire, id] { fire(id); }));
-    }
-    for (std::size_t i = 0; i < timers.size(); i += 7) timers[i].cancel();
-    simulator.run();
-    return fired;
-  };
+TEST(SimulatorTest, PostAndScheduleShareOneFifoOrder) {
+  // post() skips the Timer handle, not the sequence: at equal timestamps
+  // posted and scheduled events run in the order they were issued.
+  Simulator simulator;
+  std::vector<int> order;
+  simulator.post(seconds(1), [&] { order.push_back(0); });
+  simulator.schedule_after(seconds(1), [&] { order.push_back(1); });
+  simulator.post(seconds(1), [&] { order.push_back(2); });
+  simulator.post(Duration{0}, [&] { order.push_back(-1); });
+  EXPECT_EQ(simulator.run(), 4u);
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2}));
+}
 
-  const auto wheel = run_backend(SchedulerBackend::kTimerWheel);
-  const auto heap = run_backend(SchedulerBackend::kBinaryHeap);
-  ASSERT_EQ(wheel.size(), heap.size());
-  EXPECT_EQ(wheel, heap);
+TEST(SimulatorTest, LargeCapturesFallBackToTheHeapPath) {
+  // Closures above InlineTask::kInlineBytes take the heap fallback;
+  // behaviour must be identical.
+  Simulator simulator;
+  std::array<std::uint64_t, 24> big{};  // 192 bytes of capture
+  static_assert(sizeof(big) > InlineTask::kInlineBytes);
+  big[23] = 7;
+  std::uint64_t seen = 0;
+  simulator.post(seconds(1), [&seen, big] { seen = big[23]; });
+  simulator.run();
+  EXPECT_EQ(seen, 7u);
+}
+
+TEST(SimulatorTest, CancelledEventsDoNotFireAndRunReturns) {
+  Simulator simulator;
+  bool fired = false;
+  Timer timer = simulator.schedule_after(seconds(1), [&] { fired = true; });
+  EXPECT_TRUE(timer.active());
+  timer.cancel();
+  EXPECT_FALSE(timer.active());
+  EXPECT_EQ(simulator.foreground_pending(), 0u);
+  EXPECT_EQ(simulator.run(), 0u);
+  EXPECT_FALSE(fired);
+}
+
+TEST(SimulatorTest, RunUntilIsInclusiveAndAdvancesTheClock) {
+  Simulator simulator;
+  int count = 0;
+  simulator.post(seconds(1), [&] { ++count; });
+  simulator.post(seconds(5), [&] { ++count; });  // == deadline
+  simulator.post(seconds(10), [&] { ++count; });
+  EXPECT_EQ(simulator.run_until(seconds(5)), 2u);
+  EXPECT_EQ(count, 2);
+  EXPECT_EQ(simulator.now(), seconds(5));
+  simulator.run();
+  EXPECT_EQ(count, 3);
+}
+
+TEST(SimulatorTest, DaemonsDoNotKeepRunAlive) {
+  Simulator simulator;
+  int foreground = 0;
+  int daemon = 0;
+  simulator.schedule_daemon_after(seconds(2), [&] { ++daemon; });
+  simulator.post(seconds(1), [&] { ++foreground; });
+  simulator.run();
+  EXPECT_EQ(foreground, 1);
+  EXPECT_EQ(daemon, 0);  // still pending, run() stopped at the drain
+  EXPECT_EQ(simulator.pending_events(), 1u);
+  simulator.run_until(seconds(3));
+  EXPECT_EQ(daemon, 1);
+}
+
+// Randomized schedule: bursty timestamps and ties, zero-delay and
+// re-entrant scheduling, cancellations before and during the run, a
+// run_until() stop between events and new work scheduled into the gap it
+// leaves. Returns the fired (time, schedule-order id) sequence and the
+// oracle for it: every scheduled event, cancelled ones removed, stable-
+// sorted by (when, schedule order).
+struct FiredSchedule {
+  std::vector<std::pair<Time, int>> fired;
+  std::vector<std::pair<Time, int>> oracle;
+};
+
+FiredSchedule run_random_schedule(std::uint64_t seed) {
+  Simulator simulator;
+  Rng rng(seed);
+  std::vector<Time> when;  // indexed by schedule order
+  std::vector<bool> cancelled;
+  std::vector<Timer> timers;
+  FiredSchedule out;
+  std::function<void(int)> fire;
+  const auto schedule = [&](Duration delay) {
+    const int id = static_cast<int>(when.size());
+    when.push_back(simulator.now() + delay);
+    cancelled.push_back(false);
+    timers.push_back(
+        simulator.schedule_after(delay, [&fire, id] { fire(id); }));
+  };
+  const auto cancel = [&](std::size_t id) {
+    if (!timers[id].active()) return;
+    timers[id].cancel();
+    cancelled[id] = true;
+  };
+  fire = [&](int id) {
+    out.fired.emplace_back(simulator.now(), id);
+    const double roll = rng.uniform();
+    if (roll < 0.3 && when.size() < 4000) {
+      // Follow-up work, like RPC chains; a tenth of it at delay 0.
+      schedule(rng.chance(0.1) ? 0 : microseconds(rng.uniform_int(0, 500'000)));
+    } else if (roll < 0.4) {
+      cancel(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(when.size()) - 1)));
+    }
+  };
+  for (int i = 0; i < 2000; ++i)
+    schedule(microseconds(rng.uniform_int(0, 50) * 10'000));
+  for (std::size_t i = 0; i < timers.size(); i += 7) cancel(i);
+  simulator.run_until(milliseconds(205));
+  for (int i = 0; i < 50; ++i)
+    schedule(microseconds(rng.uniform_int(0, 20'000)));
+  simulator.run();
+
+  std::vector<int> ids;
+  for (std::size_t id = 0; id < when.size(); ++id)
+    if (!cancelled[id]) ids.push_back(static_cast<int>(id));
+  std::stable_sort(ids.begin(), ids.end(),
+                   [&](int a, int b) { return when[a] < when[b]; });
+  for (const int id : ids) out.oracle.emplace_back(when[id], id);
+  return out;
+}
+
+// FNV-1a over the fired (time, id) pairs.
+std::uint64_t digest(const std::vector<std::pair<Time, int>>& fired) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const auto& [time, id] : fired) {
+    mix(static_cast<std::uint64_t>(time));
+    mix(static_cast<std::uint64_t>(id));
+  }
+  return h;
+}
+
+TEST(SimulatorTest, RandomScheduleMatchesOracle) {
+  const FiredSchedule schedule = run_random_schedule(2024);
+  ASSERT_EQ(schedule.fired.size(), schedule.oracle.size());
+  EXPECT_EQ(schedule.fired, schedule.oracle);
+  // Every seeded trace depends on this order: the digest must not drift.
+  EXPECT_EQ(digest(schedule.fired), 0xeb7ba08a3c4998c8ULL);
 }
 
 // --------------------------------------------------------------------------

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
 #include <string>
 
 #include "sim/fuzz_harness.h"
@@ -48,76 +47,18 @@ TEST(SimFuzz, InvariantsHoldAcrossSeededSchedules) {
 }
 
 TEST(SimFuzz, SameSeedProducesByteIdenticalStats) {
+  // Same-seed replay is the determinism gate for the event core: the
+  // schedule run twice must emit identical aggregate fingerprints and a
+  // byte-identical trace stream (every span and instant, in order).
   const std::uint64_t seed = env_u64("IPFS_FUZZ_SEED", 424242);
-  const ScheduleParams params = make_schedule(seed);
+  ScheduleParams params = make_schedule(seed);
+  params.capture_trace = true;
   const ScheduleReport first = run_schedule(params);
   const ScheduleReport second = run_schedule(params);
   EXPECT_EQ(first.stats.fingerprint(), second.stats.fingerprint());
   EXPECT_EQ(first.violations, second.violations);
-}
-
-TEST(SimFuzz, SchedulerBackendsProduceIdenticalTraceStreams) {
-  // The timer wheel replaced the binary heap as the event-queue backend;
-  // both remain selectable precisely so this test can prove the swap is
-  // invisible: a seeded schedule replayed under each backend must emit a
-  // byte-identical trace stream (every span and instant, in order) and
-  // identical aggregate fingerprints.
-  const std::uint64_t seed = env_u64("IPFS_FUZZ_SEED", 606060);
-  ScheduleParams params = make_schedule(seed);
-  params.capture_trace = true;
-
-  params.scheduler = sim::SchedulerBackend::kTimerWheel;
-  const ScheduleReport wheel = run_schedule(params);
-  params.scheduler = sim::SchedulerBackend::kBinaryHeap;
-  const ScheduleReport heap = run_schedule(params);
-
-  ASSERT_TRUE(wheel.ok()) << wheel.failure_summary();
-  ASSERT_TRUE(heap.ok()) << heap.failure_summary();
-  EXPECT_EQ(wheel.stats.fingerprint(), heap.stats.fingerprint());
-  ASSERT_FALSE(wheel.trace_jsonl.empty());
-  EXPECT_EQ(wheel.trace_jsonl, heap.trace_jsonl);
-}
-
-// The sharded engine's own bookkeeping records (par.windows, per-shard
-// event counts, ...) legitimately vary with the shard count; everything
-// else in the trace must not.
-std::string strip_par_lines(const std::string& jsonl) {
-  std::istringstream in(jsonl);
-  std::ostringstream out;
-  std::string line;
-  while (std::getline(in, line))
-    if (line.find("par.") == std::string::npos) out << line << '\n';
-  return out.str();
-}
-
-TEST(SimFuzz, ShardCountsProduceIdenticalTraceStreams) {
-  // Determinism gate for the sharded parallel event core
-  // (src/sim/parallel): every randomized schedule replayed at 1 shard
-  // (the sequential oracle) and at 4 shards must produce byte-identical
-  // fingerprints and — modulo the engine's own par.* records — a
-  // byte-identical trace stream. Shard count may change the engine's
-  // internals, never the simulation.
-  const std::uint64_t base_seed = env_u64("IPFS_FUZZ_SEED", 909090);
-  const std::uint64_t schedules = env_u64("IPFS_FUZZ_SHARD_SCHEDULES", 25);
-
-  for (std::uint64_t i = 0; i < schedules; ++i) {
-    ScheduleParams params = make_schedule(base_seed + i);
-    params.capture_trace = true;
-
-    params.shards = 1;
-    const ScheduleReport oracle = run_schedule(params);
-    params.shards = 4;
-    const ScheduleReport sharded = run_schedule(params);
-
-    ASSERT_TRUE(oracle.ok()) << oracle.failure_summary();
-    ASSERT_TRUE(sharded.ok()) << sharded.failure_summary();
-    ASSERT_EQ(oracle.stats.fingerprint(), sharded.stats.fingerprint())
-        << "shard-count divergence: " << params.describe();
-    ASSERT_FALSE(oracle.trace_jsonl.empty());
-    ASSERT_EQ(strip_par_lines(oracle.trace_jsonl),
-              strip_par_lines(sharded.trace_jsonl))
-        << "shard-count trace divergence: " << params.describe();
-  }
+  ASSERT_FALSE(first.trace_jsonl.empty());
+  EXPECT_EQ(first.trace_jsonl, second.trace_jsonl);
 }
 
 TEST(SimFuzz, FailureMessagesCarryReplaySeed) {
@@ -397,10 +338,10 @@ TEST(SimFuzz, SybilFloodStaysWithinTheDiversityCap) {
   EXPECT_GT(report.stats.sybil_rejections, 0u);
 }
 
-TEST(SimFuzz, AttackSchedulesAreByteIdenticalAcrossSchedulerBackends) {
+TEST(SimFuzz, AttackSchedulesReplayByteIdentically) {
   // Every attack controller schedules through the event core, so each
   // family must replay byte-identically (fingerprint AND full trace
-  // stream) under the wheel and heap backends.
+  // stream) from the same seed.
   for (int family = 1; family <= 5; ++family) {
     ScheduleParams params = make_schedule(3000 + static_cast<std::uint64_t>(family));
     params.node_count = 10;
@@ -412,17 +353,15 @@ TEST(SimFuzz, AttackSchedulesAreByteIdenticalAcrossSchedulerBackends) {
     apply_attack_constraints(params);
     params.capture_trace = true;
 
-    params.scheduler = sim::SchedulerBackend::kTimerWheel;
-    const ScheduleReport wheel = run_schedule(params);
-    params.scheduler = sim::SchedulerBackend::kBinaryHeap;
-    const ScheduleReport heap = run_schedule(params);
+    const ScheduleReport first = run_schedule(params);
+    const ScheduleReport second = run_schedule(params);
 
-    ASSERT_TRUE(wheel.ok()) << wheel.failure_summary();
-    ASSERT_TRUE(heap.ok()) << heap.failure_summary();
-    EXPECT_EQ(wheel.stats.fingerprint(), heap.stats.fingerprint())
+    ASSERT_TRUE(first.ok()) << first.failure_summary();
+    ASSERT_TRUE(second.ok()) << second.failure_summary();
+    EXPECT_EQ(first.stats.fingerprint(), second.stats.fingerprint())
         << "family=" << attack_name(params.attack);
-    ASSERT_FALSE(wheel.trace_jsonl.empty());
-    EXPECT_EQ(wheel.trace_jsonl, heap.trace_jsonl)
+    ASSERT_FALSE(first.trace_jsonl.empty());
+    EXPECT_EQ(first.trace_jsonl, second.trace_jsonl)
         << "family=" << attack_name(params.attack);
   }
 }
