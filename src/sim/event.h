@@ -21,6 +21,8 @@ class Simulator;
 //     is a no-op; active() is false in both cases.
 //   - Cancelling a foreground event may let run() return earlier, since
 //     run() only waits for live non-daemon events.
+//   - A handle may outlive its Simulator: the event never fires, active()
+//     is false and cancel() is a no-op.
 class Timer {
  public:
   Timer() = default;

@@ -272,7 +272,6 @@ void Network::send(NodeId from, NodeId to, MessagePtr message,
   }
   auto deliver = [this, from, to, bytes, message = std::move(message)] {
     if (online_[to] == 0 || !configs_[to].responsive) return;
-    ++messages_delivered_;
     hot_counter(c_rx_messages_, "transport.rx.messages").inc();
     hot_counter(c_rx_bytes_, "transport.rx.bytes").inc(bytes);
     if (message_handlers_[to]) message_handlers_[to](from, message);
@@ -335,7 +334,6 @@ void Network::request(NodeId from, NodeId to, MessagePtr request,
     if (online_[to] == 0 || !configs_[to].responsive ||
         !request_handlers_[to])
       return;
-    ++messages_delivered_;
     hot_counter(c_rx_messages_, "transport.rx.messages").inc();
     hot_counter(c_rx_bytes_, "transport.rx.bytes").inc(request_bytes);
     auto respond = [this, to, from, request_id](MessagePtr response,

@@ -286,7 +286,6 @@ class Network {
   const metrics::Registry& metrics() const { return metrics_; }
 
   // Counters for tests and benches.
-  std::uint64_t messages_delivered() const { return messages_delivered_; }
   std::uint64_t dials_attempted() const { return dials_attempted_; }
   std::uint64_t dials_failed() const { return dials_failed_; }
 
@@ -359,7 +358,6 @@ class Network {
 
   std::unordered_map<std::uint64_t, PendingRequest> pending_;
   std::uint64_t next_request_id_ = 1;
-  std::uint64_t messages_delivered_ = 0;
   std::uint64_t dials_attempted_ = 0;
   std::uint64_t dials_failed_ = 0;
 };

@@ -27,6 +27,15 @@ void Timer::cancel() {
 
 bool Timer::active() const { return state_ && state_->alive; }
 
+Simulator::~Simulator() {
+  for (const Record& record : heap_) {
+    Timer::State* state = at(record.slot).state.get();
+    if (state == nullptr) continue;
+    state->alive = false;
+    state->foreground_pending = nullptr;
+  }
+}
+
 std::uint32_t Simulator::allocate() {
   if (free_slots_.empty()) {
     const auto base = static_cast<std::uint32_t>(slab_.size() * kChunkSize);

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -28,6 +29,9 @@ class Simulator {
   // Timer handles and scheduled callbacks hold the simulator's address.
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
+  // Detaches every still-queued event's Timer handle, so a handle that
+  // outlives the simulator reads inactive and cancels as a no-op.
+  ~Simulator();
 
   Time now() const { return now_; }
 
@@ -57,6 +61,14 @@ class Simulator {
   // Runs every event (daemons included) up to `deadline` inclusive, then
   // advances the clock to it.
   std::uint64_t run_until(Time deadline);
+
+  // Time of the next live event (daemons included), or nullopt when none
+  // is queued. Prunes cancelled heads. SocketTransport bounds its poll(2)
+  // wait by it.
+  std::optional<Time> next_event_time() {
+    if (!prune_cancelled()) return std::nullopt;
+    return heap_.front().when;
+  }
 
   // Queued entries, including cancelled ones not yet lazily pruned.
   std::size_t pending_events() const { return heap_.size(); }

@@ -4,6 +4,8 @@
 // byte-identical to the pre-transport code paths.
 #pragma once
 
+#include <utility>
+
 #include "transport/transport.h"
 
 namespace ipfs::transport {
@@ -26,10 +28,16 @@ class SimTransport final : public Transport {
   bool online() const override { return network_.online(node_); }
 
   sim::Time now() const override { return network_.now(); }
-  Timer schedule_after(sim::Duration delay, std::function<void()> fn) override;
+  Timer schedule_after(sim::Duration delay, std::function<void()> fn) override {
+    return network_.simulator().schedule_after(delay, std::move(fn));
+  }
   Timer schedule_daemon_after(sim::Duration delay,
-                              std::function<void()> fn) override;
-  Timer schedule_daemon_at(sim::Time when, std::function<void()> fn) override;
+                              std::function<void()> fn) override {
+    return network_.simulator().schedule_daemon_after(delay, std::move(fn));
+  }
+  Timer schedule_daemon_at(sim::Time when, std::function<void()> fn) override {
+    return network_.simulator().schedule_daemon_at(when, std::move(fn));
+  }
 
   void connect(PeerAddr peer, sim::DialCallback cb) override {
     network_.connect(node_, peer, std::move(cb));

@@ -16,24 +16,28 @@
 // Kinds: datagram (send), request / response (request), and the
 // connect / connect-ack / disconnect control frames backing the
 // Transport connection surface. Payloads are codec encodings; control
-// frames carry none. One message per datagram caps payloads at ~64 KiB,
-// comfortably above every protocol message this codebase emits (blocks
-// are ≤ 256 KiB chunks only in theory; the repo's scenarios move blocks
-// well under the limit — oversized sends are dropped and counted).
+// frames carry none. One message per datagram caps payloads at
+// kMaxPayload (65,485 bytes). That is not enough for content: a block
+// cut at the default 256 KiB chunk size does not fit, and such a send
+// is dropped and only counted in transport.tx.dropped. Fragmentation and
+// reassembly are not implemented yet.
 //
-// Threading model: none. The owner drives the loop explicitly via
-// poll_once()/run_for() from a single thread; timers, RPC timeouts and
-// dial timeouts all fire inside poll_once. This keeps the backend
-// steppable from tests (tests/transport_parity_test.cpp runs two
-// instances in one process and round-robins their loops).
+// Event loop: the backend schedules on a member sim::Simulator clocked
+// by wall time, the same event core the simulated backend runs on.
+// Timers, RPC timeouts and dial timeouts are all events on it. No thread
+// of its own: the owner drives it from one thread via poll_once() /
+// run_for(), which wait in poll(2) for a datagram or the next event,
+// dispatch what arrived, then run every event that is due. This keeps
+// the backend steppable from tests (tests/transport_parity_test.cpp runs
+// several instances in one process and round-robins their loops).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "sim/simulator.h"
 #include "transport/transport.h"
 
 namespace ipfs::transport {
@@ -67,8 +71,9 @@ class SocketTransport final : public Transport {
   // True when nothing foreground is outstanding: no pending requests, no
   // in-flight dials, no non-daemon timers. (Daemon timers — periodic
   // maintenance — intentionally do not count, mirroring the simulator's
-  // run-until-idle semantics.)
-  bool idle() const;
+  // run-until-idle semantics.) Each pending request and dial group holds
+  // a foreground timeout timer, so one count covers all three.
+  bool idle() const { return events_.foreground_pending() == 0; }
 
   std::uint16_t port() const { return port_; }
   int fd() const { return fd_; }
@@ -100,31 +105,24 @@ class SocketTransport final : public Transport {
     std::uint32_t ip = 0;    // network byte order
     std::uint16_t port = 0;  // network byte order
   };
-  struct TimerState {
-    sim::Time when = 0;
-    std::uint64_t seq = 0;
-    std::function<void()> fn;
-    bool daemon = false;
-    bool cancelled = false;
-    bool fired = false;
-  };
   struct PendingRequest {
     sim::ResponseCallback cb;
-    sim::Time deadline = 0;
+    Timer timeout;
   };
   struct PendingDial {
     sim::DialCallback cb;
     sim::Time started = 0;
-    sim::Time deadline = 0;
+  };
+  // Dials queued to one peer share the timeout armed by the first one.
+  struct DialGroup {
+    std::vector<PendingDial> dials;
+    Timer timeout;
   };
 
-  Timer arm(sim::Time when, std::function<void()> fn, bool daemon);
   void send_frame(std::uint8_t kind, PeerAddr to, std::uint64_t request_id,
                   const std::vector<std::uint8_t>& payload);
   void dispatch(const std::uint8_t* data, std::size_t len,
                 const Endpoint& source);
-  void fire_due(sim::Time now_us);
-  sim::Time next_deadline() const;
   void complete_dials(PeerAddr peer, bool ok);
 
   PeerAddr local_;
@@ -134,14 +132,13 @@ class SocketTransport final : public Transport {
 
   std::map<PeerAddr, Endpoint> peers_;
   std::map<PeerAddr, bool> connected_;
-  std::map<PeerAddr, std::vector<PendingDial>> dials_;
+  std::map<PeerAddr, DialGroup> dials_;
   std::map<std::uint64_t, PendingRequest> requests_;
   std::uint64_t next_request_id_ = 1;
 
-  // Min-heap by (when, seq); seq breaks ties in creation order so equal
-  // deadlines fire deterministically.
-  std::vector<std::shared_ptr<TimerState>> timers_;
-  std::uint64_t next_timer_seq_ = 0;
+  // Clocked by wall time: poll_once() runs it up to now(). Equal
+  // deadlines fire in schedule order.
+  sim::Simulator events_;
 
   sim::RequestHandler request_handler_;
   sim::MessageHandler message_handler_;

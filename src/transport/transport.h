@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "metrics/metrics.h"
+#include "sim/event.h"
 #include "sim/network.h"
 
 namespace ipfs::transport {
@@ -38,31 +39,10 @@ namespace ipfs::transport {
 using PeerAddr = sim::NodeId;
 inline constexpr PeerAddr kInvalidPeer = sim::kInvalidNode;
 
-// Backend-agnostic cancellation handle, mirroring sim::Timer semantics:
-//   - cancel() before the callback fires guarantees it never runs;
-//   - cancel() after it fired (or on a default-constructed handle) is a
-//     no-op; active() is false in both cases.
-// sim::Timer cannot be constructed outside the scheduler, so each backend
-// wraps its native handle in an Impl.
-class Timer {
- public:
-  struct Impl {
-    virtual ~Impl() = default;
-    virtual void cancel() = 0;
-    virtual bool active() const = 0;
-  };
-
-  Timer() = default;
-  explicit Timer(std::shared_ptr<Impl> impl) : impl_(std::move(impl)) {}
-
-  void cancel() {
-    if (impl_) impl_->cancel();
-  }
-  bool active() const { return impl_ != nullptr && impl_->active(); }
-
- private:
-  std::shared_ptr<Impl> impl_;
-};
+// Cancellation handle for a scheduled callback. Both backends schedule on
+// a sim::Simulator (virtual time, or wall time under sockets), so this is
+// the scheduler's own handle; see sim/event.h for its semantics.
+using Timer = sim::Timer;
 
 class Transport {
  public:

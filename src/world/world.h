@@ -62,6 +62,8 @@ class World {
 
   std::size_t size() const { return dht_nodes_.size(); }
   dht::DhtNode& dht(std::size_t i) { return *dht_nodes_[i]; }
+  // Not valid for the hydra heads, which are appended after the regular
+  // population.
   const PeerProfile& profile(std::size_t i) const {
     return population_.peers[i];
   }
@@ -77,10 +79,6 @@ class World {
 
   // Fraction of world peers currently online (diagnostics).
   double online_fraction() const;
-
-  // Peers added by the hydra extension (appended after the regular
-  // population; profile() is not valid for them).
-  std::size_t regular_peer_count() const { return population_.peers.size(); }
 
   // --- Network indexers (delegated routing) -------------------------------
 

@@ -6,6 +6,8 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -113,6 +115,30 @@ TEST(SimulatorTest, CancelAfterFireIsANoOp) {
   Timer defaulted;
   EXPECT_FALSE(defaulted.active());
   defaulted.cancel();  // default-constructed handle: also a no-op
+}
+
+TEST(SimulatorTest, NextEventTimeSkipsCancelledHeads) {
+  Simulator simulator;
+  EXPECT_EQ(simulator.next_event_time(), std::nullopt);
+  Timer early = simulator.schedule_after(seconds(1), [] { FAIL(); });
+  simulator.schedule_daemon_after(seconds(2), [] {});
+  EXPECT_EQ(simulator.next_event_time(), seconds(1));
+  early.cancel();
+  EXPECT_EQ(simulator.next_event_time(), seconds(2));
+  EXPECT_EQ(simulator.pending_events(), 1u);  // cancelled head pruned
+  simulator.run_until(seconds(2));
+  EXPECT_EQ(simulator.next_event_time(), std::nullopt);
+}
+
+// A handle can outlive its scheduler (a subsystem torn down after the
+// transport it ran on): cancelling it then must touch nothing.
+TEST(SimulatorTest, CancelAfterSimulatorDestroyedIsNoOp) {
+  auto simulator = std::make_unique<Simulator>();
+  Timer timer = simulator->schedule_after(seconds(1), [] { FAIL(); });
+  EXPECT_TRUE(timer.active());
+  simulator.reset();
+  timer.cancel();
+  EXPECT_FALSE(timer.active());
 }
 
 TEST(SimulatorTest, CancelledDaemonEventsDoNotFireInRunUntil) {

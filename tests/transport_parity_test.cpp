@@ -4,6 +4,9 @@
 // UDP datagrams on loopback, must produce the same provider records and
 // the same block bytes. Timings are NOT compared — virtual time and wall
 // time differ by construction; parity is about protocol outcomes.
+// The SocketTransportTest suite below pins the socket backend's own
+// contract: timer cancellation and ordering, RPC and dial timeouts, and
+// idle().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +15,14 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "bitswap/bitswap.h"
 #include "blockstore/blockstore.h"
 #include "dht/dht_node.h"
 #include "dht/key.h"
+#include "dht/messages.h"
 #include "multiformats/cid.h"
 #include "scenario/scenario.h"
 #include "sim/network.h"
@@ -217,6 +222,163 @@ TEST(TransportParityTest, SocketCountersAdvance) {
   ASSERT_TRUE(outcome.block_data.has_value());
   EXPECT_GT(outcome.tx_messages, 0u);
   EXPECT_GT(outcome.rx_messages, 0u);
+}
+
+// --------------------------------------------------------------------------
+// SocketTransport contract: timers, RPC and dial timeouts, idle(), on
+// loopback sockets. Wall-clock waits are kept short; the dial case waits
+// out the backend's fixed 5 s dial timeout.
+// --------------------------------------------------------------------------
+
+class SocketTransportTest : public ::testing::Test {
+ protected:
+  static constexpr transport::PeerAddr kSilent = 1;
+
+  std::unique_ptr<transport::SocketTransport> make(transport::PeerAddr addr) {
+    return std::make_unique<transport::SocketTransport>(addr, "127.0.0.1",
+                                                        /*port=*/0);
+  }
+
+  // Polls `t` until `done()` holds or `limit` of wall time has passed.
+  static void pump(transport::SocketTransport& t,
+                   const std::function<bool()>& done, sim::Duration limit) {
+    const sim::Time deadline = t.now() + limit;
+    while (!done() && t.now() < deadline) t.poll_once(sim::milliseconds(10));
+  }
+};
+
+TEST_F(SocketTransportTest, CancelBeforeFireNeverRunsTheCallback) {
+  auto t = make(0);
+  bool fired = false;
+  transport::Timer timer =
+      t->schedule_after(sim::milliseconds(5), [&] { fired = true; });
+  EXPECT_TRUE(timer.active());
+  timer.cancel();
+  EXPECT_FALSE(timer.active());
+  t->run_for(sim::milliseconds(30));
+  EXPECT_FALSE(fired);
+  EXPECT_TRUE(t->idle());
+}
+
+TEST_F(SocketTransportTest, CancelAfterFireIsANoOp) {
+  auto t = make(0);
+  int fired = 0;
+  transport::Timer timer = t->schedule_after(0, [&] { ++fired; });
+  pump(*t, [&] { return fired > 0; }, sim::seconds(1));
+  ASSERT_EQ(fired, 1);
+  EXPECT_FALSE(timer.active());
+  timer.cancel();
+  EXPECT_FALSE(timer.active());
+  t->run_for(sim::milliseconds(5));
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(t->idle());
+}
+
+TEST_F(SocketTransportTest, EqualDeadlineTimersFireInScheduleOrder) {
+  auto t = make(0);
+  std::vector<int> order;
+  const sim::Time when = t->now() + sim::milliseconds(5);
+  for (int i = 0; i < 5; ++i)
+    t->schedule_daemon_at(when, [&order, i] { order.push_back(i); });
+  pump(*t, [&] { return order.size() == 5; }, sim::seconds(1));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST_F(SocketTransportTest, DaemonTimerAloneLeavesIdle) {
+  auto t = make(0);
+  EXPECT_TRUE(t->idle());
+  transport::Timer daemon =
+      t->schedule_daemon_after(sim::seconds(60), [] { FAIL(); });
+  EXPECT_TRUE(t->idle());
+  transport::Timer foreground =
+      t->schedule_after(sim::seconds(60), [] { FAIL(); });
+  EXPECT_FALSE(t->idle());
+  foreground.cancel();
+  EXPECT_TRUE(t->idle());
+  daemon.cancel();
+}
+
+TEST_F(SocketTransportTest, DaemonAtInThePastFiresOnTheNextPoll) {
+  auto t = make(0);
+  bool fired = false;
+  t->schedule_daemon_at(t->now() - sim::seconds(1), [&] { fired = true; });
+  EXPECT_TRUE(t->poll_once(0));
+  EXPECT_TRUE(fired);
+}
+
+TEST_F(SocketTransportTest, RequestToUnregisteredPeerIsUnreachable) {
+  auto t = make(0);
+  std::optional<sim::RpcStatus> status;
+  t->request(kSilent, std::make_shared<dht::DialBackRequest>(), 0,
+             sim::seconds(1),
+             [&](sim::RpcStatus s, sim::MessagePtr) { status = s; });
+  pump(*t, [&] { return status.has_value(); }, sim::seconds(1));
+  EXPECT_EQ(status, sim::RpcStatus::kUnreachable);
+  EXPECT_TRUE(t->idle());
+}
+
+TEST_F(SocketTransportTest, RequestToSilentSocketTimesOut) {
+  auto t = make(0);
+  auto silent = make(kSilent);  // bound, never polled
+  t->add_peer(kSilent, "127.0.0.1", silent->port());
+  const sim::Duration timeout = sim::milliseconds(50);
+  const sim::Time sent = t->now();
+  std::optional<sim::RpcStatus> status;
+  sim::Time answered = 0;
+  t->request(kSilent, std::make_shared<dht::DialBackRequest>(), 0, timeout,
+             [&](sim::RpcStatus s, sim::MessagePtr response) {
+               status = s;
+               answered = t->now();
+               EXPECT_EQ(response, nullptr);
+             });
+  EXPECT_FALSE(t->idle());
+  pump(*t, [&] { return status.has_value(); }, sim::seconds(2));
+  EXPECT_EQ(status, sim::RpcStatus::kTimeout);
+  EXPECT_GE(answered - sent, timeout);
+  EXPECT_TRUE(t->idle());
+}
+
+TEST_F(SocketTransportTest, DialToSilentSocketFailsQueuedDialsAtTimeout) {
+  auto t = make(0);
+  auto silent = make(kSilent);
+  t->add_peer(kSilent, "127.0.0.1", silent->port());
+  const sim::Time started = t->now();
+  std::vector<std::pair<bool, sim::Duration>> results;
+  sim::Time failed_at = 0;
+  for (int i = 0; i < 2; ++i) {
+    t->connect(kSilent, [&](bool ok, sim::Duration elapsed) {
+      results.emplace_back(ok, elapsed);
+      failed_at = t->now();
+    });
+  }
+  EXPECT_FALSE(t->idle());
+  pump(*t, [&] { return results.size() == 2; }, sim::seconds(8));
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& [ok, elapsed] : results) {
+    EXPECT_FALSE(ok);
+    EXPECT_GE(elapsed, sim::seconds(5));
+  }
+  EXPECT_GE(failed_at - started, sim::seconds(5));
+  EXPECT_FALSE(t->connected(kSilent));
+  EXPECT_TRUE(t->idle());
+}
+
+TEST_F(SocketTransportTest, SuccessfulConnectLeavesIdle) {
+  auto a = make(0);
+  auto b = make(1);
+  a->add_peer(1, "127.0.0.1", b->port());
+  std::optional<bool> ok;
+  a->connect(1, [&](bool result, sim::Duration) { ok = result; });
+  const sim::Time deadline = a->now() + sim::seconds(2);
+  while (!ok.has_value() && a->now() < deadline) {
+    b->poll_once(sim::milliseconds(1));
+    a->poll_once(sim::milliseconds(1));
+  }
+  EXPECT_EQ(ok, true);
+  EXPECT_TRUE(a->connected(1));
+  EXPECT_TRUE(b->connected(0));
+  EXPECT_TRUE(a->idle());
+  EXPECT_TRUE(b->idle());
 }
 
 }  // namespace
