@@ -317,9 +317,9 @@ int main() {
         ++sweep_crashes;
         unflushed.clear();  // never acked; legitimately lost
         for (const std::size_t index : acked) {
-          const auto data = store.get(put_blocks[index].cid);
+          const auto data = store.get(put_blocks[index].cid());
           ++sweep_acked_checked;
-          if (!data || *data != put_blocks[index].data) {
+          if (!data || *data != *put_blocks[index].data()) {
             std::printf("FAIL: seed %zu lost acked block %zu after crash\n",
                         s, index);
             return 1;

@@ -18,6 +18,8 @@ const char* tier_name(gateway::ServedFrom source) {
       return "nginx cache";
     case gateway::ServedFrom::kNodeStore:
       return "node store ";
+    case gateway::ServedFrom::kOriginCache:
+      return "origin tier";
     case gateway::ServedFrom::kP2p:
       return "p2p network";
     case gateway::ServedFrom::kFailed:
@@ -98,11 +100,14 @@ int main() {
                 static_cast<unsigned long long>(response.bytes));
   }
 
-  std::printf("\ntier totals: nginx=%llu node-store=%llu p2p=%llu\n",
+  std::printf("\ntier totals: nginx=%llu node-store=%llu origin=%llu "
+              "p2p=%llu\n",
               static_cast<unsigned long long>(
                   gateway.stats(gateway::ServedFrom::kNginxCache).requests),
               static_cast<unsigned long long>(
                   gateway.stats(gateway::ServedFrom::kNodeStore).requests),
+              static_cast<unsigned long long>(
+                  gateway.stats(gateway::ServedFrom::kOriginCache).requests),
               static_cast<unsigned long long>(
                   gateway.stats(gateway::ServedFrom::kP2p).requests));
   std::printf("\nnote how the first remote GET pays seconds (Bitswap window "

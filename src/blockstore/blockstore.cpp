@@ -4,22 +4,27 @@ namespace ipfs::blockstore {
 
 Block Block::from_data(multiformats::Multicodec codec,
                        std::span<const std::uint8_t> data) {
-  return Block{Cid::from_data(codec, data),
-               std::vector<std::uint8_t>(data.begin(), data.end())};
+  return Block(Cid::from_data(codec, data),
+               std::make_shared<const std::vector<std::uint8_t>>(data.begin(),
+                                                                 data.end()));
+}
+
+std::optional<Block> Block::verify(const Cid& cid, BlockData data) {
+  if (data == nullptr || !cid.hash().verifies(*data)) return std::nullopt;
+  return Block(cid, std::move(data));
 }
 
 PutStatus BlockStore::put(Block block) {
-  return put(block.cid, std::make_shared<const std::vector<std::uint8_t>>(
-                            std::move(block.data)));
-}
-
-PutStatus BlockStore::put(const Cid& cid, BlockData data) {
-  if (data == nullptr || !cid.hash().verifies(*data))
-    return PutStatus::kCidMismatch;
-  const auto [it, inserted] = blocks_.try_emplace(cid, std::move(data));
+  const auto [it, inserted] = blocks_.try_emplace(block.cid(), block.data());
   if (!inserted) return PutStatus::kAlreadyPresent;
   total_bytes_ += it->second->size();
   return PutStatus::kStored;
+}
+
+PutStatus BlockStore::put(const Cid& cid, BlockData data) {
+  auto block = Block::verify(cid, std::move(data));
+  if (!block) return PutStatus::kCidMismatch;
+  return put(std::move(*block));
 }
 
 BlockData BlockStore::get(const Cid& cid) const {
@@ -70,8 +75,7 @@ LruBlockStore::LruBlockStore(std::uint64_t capacity_bytes, LruConfig config)
 }
 
 bool LruBlockStore::put(Block block) {
-  return put(block.cid, std::make_shared<const std::vector<std::uint8_t>>(
-                            std::move(block.data)));
+  return put(block.cid(), block.data());
 }
 
 bool LruBlockStore::put(const Cid& cid, BlockData data) {

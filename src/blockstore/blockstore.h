@@ -24,13 +24,30 @@ using multiformats::Cid;
 // on every hit.
 using BlockData = std::shared_ptr<const std::vector<std::uint8_t>>;
 
-struct Block {
-  Cid cid;
-  std::vector<std::uint8_t> data;
-
-  // Builds a block from raw bytes, deriving its CID (sha2-256, given codec).
+// A block whose bytes are known to hash to its CID. Content is
+// self-certifying (paper Section 2.1), so the hash is checked once, where
+// bytes enter the node, and a Block is the proof that it was: only the
+// two factories below construct one, and the payload is immutable.
+// Stores accept a Block without hashing it again.
+class Block {
+ public:
+  // Builds a block from raw bytes, deriving its CID (sha2-256, given
+  // codec): the hash that names the bytes is the check.
   static Block from_data(multiformats::Multicodec codec,
                          std::span<const std::uint8_t> data);
+  // Hashes `data` once; a Block only if it matches `cid` (nullopt for
+  // null data or a mismatch).
+  static std::optional<Block> verify(const Cid& cid, BlockData data);
+
+  const Cid& cid() const { return cid_; }
+  const BlockData& data() const { return data_; }
+
+ private:
+  Block(Cid cid, BlockData data)
+      : cid_(std::move(cid)), data_(std::move(data)) {}
+
+  Cid cid_;
+  BlockData data_;
 };
 
 enum class PutStatus { kStored, kAlreadyPresent, kCidMismatch };
@@ -46,11 +63,12 @@ class BlockStore {
   BlockStore() = default;
   virtual ~BlockStore() = default;
 
-  // Verifies the CID against the data before storing.
+  // Stores an already verified block without hashing it again. Backends
+  // override this overload only; raw-bytes puts reach it after verify.
   virtual PutStatus put(Block block);
-  // Shared-ownership insert: callers that already hold the payload as
-  // BlockData (Bitswap responses, cache tiers) store it without a copy.
-  // Verifies like put(Block); null data is rejected as a mismatch.
+  // Raw-bytes insert for bytes not yet checked: Block::verify, then
+  // put(Block). A mismatch or null data stores nothing and returns
+  // kCidMismatch. Virtual so forwarding wrappers can pass it through.
   virtual PutStatus put(const Cid& cid, BlockData data);
 
   // Shared payload, nullptr on miss. Never copies: every hit aliases the

@@ -118,9 +118,9 @@ void PersistentBlockStore::roll_segment_if_full() {
   }
 }
 
-PutStatus PersistentBlockStore::put(const Cid& cid, BlockData data) {
-  if (data == nullptr || !cid.hash().verifies(*data))
-    return PutStatus::kCidMismatch;
+PutStatus PersistentBlockStore::put(Block block) {
+  const Cid& cid = block.cid();
+  const BlockData& data = block.data();
   if (index_.contains(cid)) return PutStatus::kAlreadyPresent;
 
   roll_segment_if_full();

@@ -51,7 +51,9 @@ class PersistentBlockStore : public BlockStore {
                        PersistConfig config = {});
 
   using BlockStore::put;
-  PutStatus put(const Cid& cid, BlockData data) override;
+  // Appends a put record; the block is already verified, so only the
+  // record's CRC is computed here.
+  PutStatus put(Block block) override;
   BlockData get(const Cid& cid) const override;
   bool has(const Cid& cid) const override;
   bool remove(const Cid& cid) override;

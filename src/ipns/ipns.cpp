@@ -22,9 +22,8 @@ std::uint64_t get_u64(std::span<const std::uint8_t> in) {
 
 std::vector<std::uint8_t> IpnsRecord::signed_payload() const {
   constexpr std::string_view kDomain = "ipns-record:";  // domain separation
-  std::vector<std::uint8_t> payload;
+  std::vector<std::uint8_t> payload(kDomain.begin(), kDomain.end());
   payload.reserve(kDomain.size() + value.size() + 16);
-  payload.insert(payload.end(), kDomain.begin(), kDomain.end());
   payload.insert(payload.end(), value.begin(), value.end());
   put_u64(payload, sequence);
   put_u64(payload, validity_us);

@@ -116,7 +116,7 @@ void StreamingImporter::emit_leaf(std::span<const std::uint8_t> piece) {
   result_.content_bytes += piece.size();
   ++result_.chunk_count;
   Block block = Block::from_data(Multicodec::kRaw, piece);
-  const DagLink link{block.cid, piece.size()};
+  const DagLink link{block.cid(), piece.size()};
   store_block(store_, std::move(block), result_);
   push_link(0, link);
 }
@@ -135,7 +135,7 @@ void StreamingImporter::collapse_level(std::size_t level) {
   levels_[level].clear();
   const std::uint64_t subtree_size = node.total_content_size();
   Block block = Block::from_data(Multicodec::kDagPb, node.encode());
-  const DagLink link{block.cid, subtree_size};
+  const DagLink link{block.cid(), subtree_size};
   store_block(store_, std::move(block), result_);
   push_link(level + 1, link);
 }

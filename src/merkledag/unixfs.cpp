@@ -41,7 +41,7 @@ std::optional<Cid> make_directory(BlockStore& store,
 
   blockstore::Block block = blockstore::Block::from_data(
       multiformats::Multicodec::kDagPb, node.encode());
-  const Cid cid = block.cid;
+  const Cid cid = block.cid();
   store.put(std::move(block));
   return cid;
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bitswap/bitswap.h"
+#include "blockstore/persist/async_store.h"
 #include "merkledag/merkledag.h"
 #include "scenario/scenario.h"
 #include "sim/network.h"
@@ -63,12 +64,12 @@ TEST_F(BitswapTest, FetchBlockTransfersAndVerifies) {
   store_b_.put(block);
 
   blockstore::BlockData fetched;
-  bitswap_a_->fetch_block(node_b_, block.cid,
+  bitswap_a_->fetch_block(node_b_, block.cid(),
                           [&](BlockResult b) { fetched = std::move(b.data); });
   sim_.run();
   ASSERT_TRUE(fetched != nullptr);
-  EXPECT_EQ(*fetched, block.data);
-  EXPECT_TRUE(store_a_.has(block.cid));  // stored locally after fetch
+  EXPECT_EQ(*fetched, *block.data());
+  EXPECT_TRUE(store_a_.has(block.cid()));  // stored locally after fetch
 }
 
 TEST_F(BitswapTest, FetchMissingBlockReturnsNothing) {
@@ -85,11 +86,107 @@ TEST_F(BitswapTest, FetchMissingBlockReturnsNothing) {
   EXPECT_TRUE(fetched == nullptr);
 }
 
+// A provider that answers WANT_BLOCK with bytes that do not hash to the
+// requested CID: the fetch fails and nothing reaches the requester's store.
+TEST_F(BitswapTest, FetchBlockRejectsForgedBytes) {
+  const auto cid = multiformats::Cid::from_data(
+      multiformats::Multicodec::kRaw, random_bytes(1000, 6));
+  network_.set_request_handler(
+      node_b_, [](sim::NodeId, const sim::MessagePtr& message, auto respond) {
+        if (message->kind() != sim::MessageKind::kWantBlockRequest) return;
+        auto response = std::make_shared<BlockResponse>();
+        response->cid = static_cast<const WantBlockRequest*>(message.get())->cid;
+        response->data = std::make_shared<const std::vector<std::uint8_t>>(
+            random_bytes(1000, 7));
+        respond(std::move(response), 1000);
+      });
+  const auto failures_before =
+      network_.metrics().counter_value("bitswap.block_fetch_failures");
+
+  bool called = false;
+  BlockResult result;
+  bitswap_a_->fetch_block(node_b_, cid, [&](BlockResult b) {
+    called = true;
+    result = std::move(b);
+  });
+  sim_.run();
+
+  ASSERT_TRUE(called);
+  EXPECT_EQ(result.data, nullptr);
+  EXPECT_EQ(network_.metrics().counter_value("bitswap.block_fetch_failures"),
+            failures_before + 1);
+  EXPECT_FALSE(store_a_.has(cid));
+  EXPECT_EQ(store_a_.block_count(), 0u);
+  EXPECT_EQ(bitswap_a_->ledger_for(node_b_).blocks_received, 0u);
+}
+
+// A forwarding store that overrides only the calls it traces, the way a
+// profiling wrapper does. Every put must reach the inner store; a put
+// that landed in the wrapper's own (base-class) map would be lost.
+class ForwardingStore final : public blockstore::BlockStore {
+ public:
+  explicit ForwardingStore(blockstore::BlockStore& inner) : inner_(inner) {}
+
+  blockstore::PutStatus put(blockstore::Block block) override {
+    return inner_.put(std::move(block));
+  }
+  blockstore::PutStatus put(const multiformats::Cid& cid,
+                            blockstore::BlockData data) override {
+    return inner_.put(cid, std::move(data));
+  }
+  blockstore::BlockData get(const multiformats::Cid& cid) const override {
+    return inner_.get(cid);
+  }
+  bool has(const multiformats::Cid& cid) const override {
+    return inner_.has(cid);
+  }
+  void flush() override { inner_.flush(); }
+
+ private:
+  blockstore::BlockStore& inner_;
+};
+
+TEST_F(BitswapTest, FetchThroughForwardingStoreLandsInInnerStore) {
+  const auto data = random_bytes(1000, 8);
+  const auto cid =
+      multiformats::Cid::from_data(multiformats::Multicodec::kRaw, data);
+  ASSERT_EQ(store_b_.put(cid, std::make_shared<const std::vector<std::uint8_t>>(
+                                  data)),
+            blockstore::PutStatus::kStored);
+
+  blockstore::persist::AsyncConfig config;
+  config.flush_batch_blocks = 1000;  // keep the block queued until flush()
+  blockstore::persist::AsyncBlockStore inner(
+      std::make_unique<blockstore::persist::PersistentBlockStore>(
+          std::make_unique<blockstore::persist::MemStorage>()),
+      config);
+  ForwardingStore wrapper(inner);
+  Bitswap bitswap(network_, node_a_, wrapper);
+  attach(node_a_, bitswap);
+
+  blockstore::BlockData fetched;
+  bitswap.fetch_block(node_b_, cid,
+                      [&](BlockResult b) { fetched = std::move(b.data); });
+  sim_.run();
+  ASSERT_TRUE(fetched != nullptr);
+  EXPECT_EQ(*fetched, data);
+  EXPECT_EQ(inner.queued_blocks(), 1u);
+  EXPECT_EQ(wrapper.block_count(), 0u);  // the wrapper's own map stays empty
+
+  wrapper.flush();
+  EXPECT_TRUE(inner.base().has(cid));
+  inner.handle_crash();  // reopen from the synced log
+  ASSERT_TRUE(wrapper.has(cid));
+  const auto reread = wrapper.get(cid);
+  ASSERT_TRUE(reread != nullptr);
+  EXPECT_EQ(*reread, data);
+}
+
 TEST_F(BitswapTest, LedgersTrackExchangedBytes) {
   const auto block = blockstore::Block::from_data(
       multiformats::Multicodec::kRaw, random_bytes(2048, 3));
   store_b_.put(block);
-  bitswap_a_->fetch_block(node_b_, block.cid, [](BlockResult) {});
+  bitswap_a_->fetch_block(node_b_, block.cid(), [](BlockResult) {});
   sim_.run();
   EXPECT_EQ(bitswap_a_->ledger_for(node_b_).bytes_received, 2048u);
   EXPECT_EQ(bitswap_a_->ledger_for(node_b_).blocks_received, 1u);
@@ -131,7 +228,7 @@ TEST_F(BitswapTest, DiscoveryFindsConnectedHolder) {
   std::optional<sim::NodeId> holder;
   const sim::Time start = sim_.now();
   sim::Time end = 0;
-  bitswap_a_->discover(block.cid, kDiscoveryTimeout,
+  bitswap_a_->discover(block.cid(), kDiscoveryTimeout,
                        [&](std::optional<sim::NodeId> h) {
                          holder = h;
                          end = sim_.now();
@@ -188,7 +285,7 @@ TEST_F(BitswapTest, WantlistReflectsInFlightRequests) {
   const auto block = blockstore::Block::from_data(
       multiformats::Multicodec::kRaw, random_bytes(100, 10));
   store_b_.put(block);
-  bitswap_a_->fetch_block(node_b_, block.cid, [](BlockResult) {});
+  bitswap_a_->fetch_block(node_b_, block.cid(), [](BlockResult) {});
   EXPECT_EQ(bitswap_a_->wantlist().size(), 1u);
   sim_.run();
   EXPECT_TRUE(bitswap_a_->wantlist().empty());
@@ -201,20 +298,20 @@ TEST_F(BitswapTest, FetchDagRequestsSharedLinkOnlyOnce) {
   const auto leaf = blockstore::Block::from_data(
       multiformats::Multicodec::kRaw, random_bytes(1024, 21));
   merkledag::DagNode root_node;
-  root_node.links.push_back({leaf.cid, leaf.data.size()});
-  root_node.links.push_back({leaf.cid, leaf.data.size()});
+  root_node.links.push_back({leaf.cid(), leaf.data()->size()});
+  root_node.links.push_back({leaf.cid(), leaf.data()->size()});
   const auto root = blockstore::Block::from_data(
       multiformats::Multicodec::kDagPb, root_node.encode());
   store_b_.put(leaf);
   store_b_.put(root);
 
   FetchStats stats;
-  bitswap_a_->fetch_dag(node_b_, root.cid, [&](FetchStats s) { stats = s; });
+  bitswap_a_->fetch_dag(node_b_, root.cid(), [&](FetchStats s) { stats = s; });
   sim_.run();
 
   EXPECT_TRUE(stats.ok);
   EXPECT_EQ(stats.blocks, 2u);  // root + leaf, the leaf exactly once
-  EXPECT_EQ(stats.bytes, root.data.size() + leaf.data.size());
+  EXPECT_EQ(stats.bytes, root.data()->size() + leaf.data()->size());
   EXPECT_EQ(bitswap_b_->ledger_for(node_a_).blocks_sent, 2u);
   EXPECT_EQ(network_.metrics().counter_value(
                 "bitswap.duplicate_wants_suppressed"),

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "blockstore/blockstore.h"
 
 namespace ipfs::blockstore {
@@ -11,11 +13,34 @@ std::vector<std::uint8_t> bytes_of(std::string_view s) {
   return std::vector<std::uint8_t>(s.begin(), s.end());
 }
 
+// A Block is the proof that its bytes hash to its CID: nothing outside
+// Block::from_data and Block::verify can pair a CID with bytes.
+static_assert(!std::is_constructible_v<Block, Cid, BlockData>);
+static_assert(!std::is_constructible_v<Block, Cid, std::vector<std::uint8_t>>);
+static_assert(!std::is_default_constructible_v<Block>);
+static_assert(!std::is_aggregate_v<Block>);
+
+BlockData shared_bytes(std::string_view s) {
+  return std::make_shared<const std::vector<std::uint8_t>>(bytes_of(s));
+}
+
+TEST(BlockTest, VerifyAcceptsOnlyMatchingBytes) {
+  const auto made = Block::from_data(Multicodec::kRaw, bytes_of("original"));
+  EXPECT_EQ(made.cid(), Cid::from_data(Multicodec::kRaw, bytes_of("original")));
+  const auto block = Block::verify(made.cid(), made.data());
+  ASSERT_TRUE(block.has_value());
+  EXPECT_EQ(block->cid(), made.cid());
+  EXPECT_EQ(block->data().get(), made.data().get());  // adopts, never copies
+
+  EXPECT_FALSE(Block::verify(made.cid(), shared_bytes("tampered!")));
+  EXPECT_FALSE(Block::verify(made.cid(), nullptr));
+}
+
 TEST(BlockStoreTest, PutGetRoundTrip) {
   BlockStore store;
   const auto block = Block::from_data(Multicodec::kRaw, bytes_of("data"));
   EXPECT_EQ(store.put(block), PutStatus::kStored);
-  const auto fetched = store.get(block.cid);
+  const auto fetched = store.get(block.cid());
   ASSERT_TRUE(fetched != nullptr);
   EXPECT_EQ(*fetched, bytes_of("data"));
   EXPECT_EQ(store.block_count(), 1u);
@@ -33,22 +58,25 @@ TEST(BlockStoreTest, DuplicatePutIsDeduplicated) {
 
 TEST(BlockStoreTest, RejectsCidMismatch) {
   BlockStore store;
-  auto block = Block::from_data(Multicodec::kRaw, bytes_of("original"));
-  block.data = bytes_of("tampered!");
-  EXPECT_EQ(store.put(block), PutStatus::kCidMismatch);
+  const auto cid = Cid::from_data(Multicodec::kRaw, bytes_of("original"));
+  EXPECT_EQ(store.put(cid, shared_bytes("tampered!")), PutStatus::kCidMismatch);
+  EXPECT_EQ(store.put(cid, nullptr), PutStatus::kCidMismatch);
+  EXPECT_FALSE(store.has(cid));
+  EXPECT_EQ(store.get(cid), nullptr);
   EXPECT_EQ(store.block_count(), 0u);
+  EXPECT_EQ(store.total_bytes(), 0u);
 }
 
 TEST(BlockStoreTest, RemoveRespectsPins) {
   BlockStore store;
   const auto block = Block::from_data(Multicodec::kRaw, bytes_of("keep me"));
   store.put(block);
-  store.pin(block.cid);
-  EXPECT_FALSE(store.remove(block.cid));
-  EXPECT_TRUE(store.has(block.cid));
-  store.unpin(block.cid);
-  EXPECT_TRUE(store.remove(block.cid));
-  EXPECT_FALSE(store.has(block.cid));
+  store.pin(block.cid());
+  EXPECT_FALSE(store.remove(block.cid()));
+  EXPECT_TRUE(store.has(block.cid()));
+  store.unpin(block.cid());
+  EXPECT_TRUE(store.remove(block.cid()));
+  EXPECT_FALSE(store.has(block.cid()));
 }
 
 TEST(BlockStoreTest, GarbageCollectionSparesPinnedBlocks) {
@@ -59,12 +87,12 @@ TEST(BlockStoreTest, GarbageCollectionSparesPinnedBlocks) {
   store.put(pinned);
   store.put(loose1);
   store.put(loose2);
-  store.pin(pinned.cid);
+  store.pin(pinned.cid());
 
   const auto reclaimed = store.collect_garbage();
   EXPECT_EQ(reclaimed, 7u + 8u);
-  EXPECT_TRUE(store.has(pinned.cid));
-  EXPECT_FALSE(store.has(loose1.cid));
+  EXPECT_TRUE(store.has(pinned.cid()));
+  EXPECT_FALSE(store.has(loose1.cid()));
   EXPECT_EQ(store.block_count(), 1u);
   EXPECT_EQ(store.total_bytes(), 6u);
 }
@@ -77,11 +105,11 @@ TEST(LruBlockStoreTest, EvictsLeastRecentlyUsed) {
   EXPECT_TRUE(cache.put(a));
   EXPECT_TRUE(cache.put(b));
   // Touch a so b becomes the LRU entry.
-  EXPECT_NE(cache.get(a.cid), nullptr);
+  EXPECT_NE(cache.get(a.cid()), nullptr);
   EXPECT_TRUE(cache.put(c));  // 12 bytes > 10: evicts b
-  EXPECT_TRUE(cache.has(a.cid));
-  EXPECT_FALSE(cache.has(b.cid));
-  EXPECT_TRUE(cache.has(c.cid));
+  EXPECT_TRUE(cache.has(a.cid()));
+  EXPECT_FALSE(cache.has(b.cid()));
+  EXPECT_TRUE(cache.has(c.cid()));
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.used_bytes(), 8u);
 }
@@ -102,8 +130,8 @@ TEST(LruBlockStoreTest, ReinsertRefreshesRecency) {
   cache.put(b);
   cache.put(a);       // refresh a; b is now LRU
   cache.put(c);       // evicts b
-  EXPECT_TRUE(cache.has(a.cid));
-  EXPECT_FALSE(cache.has(b.cid));
+  EXPECT_TRUE(cache.has(a.cid()));
+  EXPECT_FALSE(cache.has(b.cid()));
   EXPECT_EQ(cache.block_count(), 2u);
 }
 
@@ -119,7 +147,7 @@ TEST(LruBlockStoreTest, RePutKeepsUsedBytesExact) {
   // The shared-ownership overload is a refresh too.
   const auto alias =
       std::make_shared<const std::vector<std::uint8_t>>(bytes_of("aaaa"));
-  EXPECT_TRUE(cache.put(a.cid, alias));
+  EXPECT_TRUE(cache.put(a.cid(), alias));
   EXPECT_EQ(cache.used_bytes(), 4u);
   EXPECT_EQ(cache.block_count(), 1u);
   EXPECT_EQ(cache.evictions(), 0u);
@@ -131,12 +159,11 @@ TEST(LruBlockStoreTest, GetReturnsSharedPayloadWithoutCopy) {
   // allocation made at insert time.
   LruBlockStore cache(1024);
   const auto block = Block::from_data(Multicodec::kRaw, bytes_of("payload"));
-  const auto payload =
-      std::make_shared<const std::vector<std::uint8_t>>(block.data);
-  ASSERT_TRUE(cache.put(block.cid, payload));
+  const BlockData& payload = block.data();
+  ASSERT_TRUE(cache.put(block.cid(), payload));
 
-  const BlockData first = cache.get(block.cid);
-  const BlockData second = cache.get(block.cid);
+  const BlockData first = cache.get(block.cid());
+  const BlockData second = cache.get(block.cid());
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first.get(), payload.get());   // no copy: same allocation
   EXPECT_EQ(second.get(), payload.get());  // ... on every hit
@@ -156,15 +183,15 @@ TEST(LruBlockStoreTest, InterleavedGetPutEvictsScanTrafficFirst) {
   cache.put(a);
   cache.put(b);
   cache.put(c);
-  EXPECT_NE(cache.get(a.cid), nullptr);  // promote a
-  EXPECT_NE(cache.get(c.cid), nullptr);  // promote c
+  EXPECT_NE(cache.get(a.cid()), nullptr);  // promote a
+  EXPECT_NE(cache.get(c.cid()), nullptr);  // promote c
   cache.put(d);  // full: evicts b — the only probationary entry
-  EXPECT_FALSE(cache.has(b.cid));
+  EXPECT_FALSE(cache.has(b.cid()));
   cache.put(e);  // evicts d (probation), not the older-but-hit a/c
-  EXPECT_FALSE(cache.has(d.cid));
-  EXPECT_TRUE(cache.has(a.cid));
-  EXPECT_TRUE(cache.has(c.cid));
-  EXPECT_TRUE(cache.has(e.cid));
+  EXPECT_FALSE(cache.has(d.cid()));
+  EXPECT_TRUE(cache.has(a.cid()));
+  EXPECT_TRUE(cache.has(c.cid()));
+  EXPECT_TRUE(cache.has(e.cid()));
   EXPECT_EQ(cache.protected_bytes(), 8u);
   EXPECT_EQ(cache.used_bytes(), 12u);
 }
@@ -179,13 +206,13 @@ TEST(LruBlockStoreTest, ProtectedOverflowDemotesBackToProbation) {
   const auto c = Block::from_data(Multicodec::kRaw, bytes_of("cccc"));
   cache.put(a);
   cache.put(b);
-  EXPECT_NE(cache.get(a.cid), nullptr);  // a -> protected
-  EXPECT_NE(cache.get(b.cid), nullptr);  // b -> protected, a demoted
+  EXPECT_NE(cache.get(a.cid()), nullptr);  // a -> protected
+  EXPECT_NE(cache.get(b.cid()), nullptr);  // b -> protected, a demoted
   EXPECT_EQ(cache.protected_bytes(), 4u);
   cache.put(c);  // needs room: evicts a from probation, b survives
-  EXPECT_FALSE(cache.has(a.cid));
-  EXPECT_TRUE(cache.has(b.cid));
-  EXPECT_TRUE(cache.has(c.cid));
+  EXPECT_FALSE(cache.has(a.cid()));
+  EXPECT_TRUE(cache.has(b.cid()));
+  EXPECT_TRUE(cache.has(c.cid()));
 }
 
 TEST(FrequencySketchTest, HalvingIsDeterministic) {
@@ -235,20 +262,20 @@ TEST(LruBlockStoreTest, TinyLfuRefusesColdCandidates) {
   const auto hot = Block::from_data(Multicodec::kRaw, bytes_of("hot!"));
   const auto cold = Block::from_data(Multicodec::kRaw, bytes_of("cold"));
   ASSERT_TRUE(cache.put(hot));
-  for (int i = 0; i < 4; ++i) EXPECT_NE(cache.get(hot.cid), nullptr);
+  for (int i = 0; i < 4; ++i) EXPECT_NE(cache.get(hot.cid()), nullptr);
 
   EXPECT_FALSE(cache.put(cold));  // would evict hot; cold is colder
-  EXPECT_TRUE(cache.has(hot.cid));
-  EXPECT_FALSE(cache.has(cold.cid));
+  EXPECT_TRUE(cache.has(hot.cid()));
+  EXPECT_FALSE(cache.has(cold.cid()));
   EXPECT_EQ(cache.admission_rejections(), 1u);
   EXPECT_EQ(cache.evictions(), 0u);
 
   // Once the candidate has proven itself (repeated misses recorded in
   // the sketch), admission goes through and the old resident is evicted.
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(cache.get(cold.cid), nullptr);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(cache.get(cold.cid()), nullptr);
   EXPECT_TRUE(cache.put(cold));
-  EXPECT_TRUE(cache.has(cold.cid));
-  EXPECT_FALSE(cache.has(hot.cid));
+  EXPECT_TRUE(cache.has(cold.cid()));
+  EXPECT_FALSE(cache.has(hot.cid()));
   EXPECT_EQ(cache.evictions(), 1u);
 }
 

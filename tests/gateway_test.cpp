@@ -65,9 +65,8 @@ TEST_F(GatewayTest, PinnedContentServesFromNodeStoreInMilliseconds) {
 TEST_F(GatewayTest, SecondRequestHitsNginxCache) {
   const auto data = random_bytes(256 * 1024, 2);
   gateway_->pin_object(data);
-  const auto cid = blockstore::Block::from_data(
-                       multiformats::Multicodec::kRaw, data)
-                       .cid;
+  const auto cid =
+      multiformats::Cid::from_data(multiformats::Multicodec::kRaw, data);
 
   gateway_->handle_get(cid, [](GatewayResponse) {});
   swarm_.simulator().run();
@@ -143,9 +142,8 @@ TEST_F(GatewayTest, CacheEvictionFallsBackToNodeStore) {
 TEST_F(GatewayTest, TierStatsAccumulateBytes) {
   const auto data = random_bytes(100 * 1024, 7);
   gateway_->pin_object(data);
-  const auto cid = blockstore::Block::from_data(
-                       multiformats::Multicodec::kRaw, data)
-                       .cid;
+  const auto cid =
+      multiformats::Cid::from_data(multiformats::Multicodec::kRaw, data);
   for (int i = 0; i < 3; ++i) {
     gateway_->handle_get(cid, [](GatewayResponse) {});
     swarm_.simulator().run();

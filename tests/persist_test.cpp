@@ -47,23 +47,57 @@ TEST(PersistentStore, PutGetRoundTripAndReopen) {
   store->handle_crash();
   EXPECT_EQ(store->block_count(), blocks.size());
   for (const auto& block : blocks) {
-    const auto data = store->get(block.cid);
+    const auto data = store->get(block.cid());
     ASSERT_TRUE(data != nullptr);
-    EXPECT_EQ(*data, block.data);
+    EXPECT_EQ(*data, *block.data());
   }
   EXPECT_EQ(store->recovered_truncated_bytes(), 0u);
 }
 
+// A raw-bytes put whose bytes do not hash to the CID stores nothing:
+// not in the index, not in the log.
 TEST(PersistentStore, RejectsCidMismatch) {
   auto store = make_persistent();
   sim::Rng rng(2);
   const auto block = make_block(64, rng);
   const auto other = make_block(64, rng);
-  EXPECT_EQ(store->put(block.cid,
-                       std::make_shared<const std::vector<std::uint8_t>>(
-                           other.data)),
-            PutStatus::kCidMismatch);
-  EXPECT_FALSE(store->has(block.cid));
+  EXPECT_EQ(store->put(block.cid(), other.data()), PutStatus::kCidMismatch);
+  EXPECT_EQ(store->put(block.cid(), nullptr), PutStatus::kCidMismatch);
+  EXPECT_FALSE(store->has(block.cid()));
+  store->flush();
+  EXPECT_EQ(store->live_segment_bytes(), 0u);
+  store->handle_crash();  // reopen from the log
+  EXPECT_FALSE(store->has(block.cid()));
+  EXPECT_EQ(store->block_count(), 0u);
+}
+
+// The async front refuses a forged put before it is queued, so neither
+// the queue nor, after a flush, the base store ever holds it.
+TEST(AsyncStore, RejectsCidMismatchBeforeAndAfterFlush) {
+  AsyncConfig config;
+  config.flush_batch_blocks = 1;  // every accepted put drains at once
+  AsyncBlockStore store(make_persistent(), config);
+  sim::Rng rng(13);
+  const Cid cid = make_block(64, rng).cid();
+  const BlockData forged = make_block(64, rng).data();
+
+  EXPECT_EQ(store.put(cid, forged), PutStatus::kCidMismatch);
+  EXPECT_EQ(store.queued_blocks(), 0u);
+  EXPECT_FALSE(store.has(cid));
+  store.flush();
+  EXPECT_FALSE(store.base().has(cid));
+
+  // Once the store has drained and synced real blocks, a forged put is
+  // still refused.
+  store.put(make_block(64, rng));
+  store.flush();
+  EXPECT_EQ(store.put(cid, forged), PutStatus::kCidMismatch);
+  EXPECT_EQ(store.put(cid, nullptr), PutStatus::kCidMismatch);
+  store.flush();
+  store.handle_crash();
+  EXPECT_FALSE(store.has(cid));
+  EXPECT_EQ(store.get(cid), nullptr);
+  EXPECT_EQ(store.block_count(), 1u);
 }
 
 TEST(PersistentStore, RemoveTombstoneSurvivesReopen) {
@@ -73,12 +107,12 @@ TEST(PersistentStore, RemoveTombstoneSurvivesReopen) {
   const auto drop = make_block(256, rng);
   store->put(keep);
   store->put(drop);
-  EXPECT_TRUE(store->remove(drop.cid));
+  EXPECT_TRUE(store->remove(drop.cid()));
   store->flush();
 
   store->handle_crash();
-  EXPECT_TRUE(store->has(keep.cid));
-  EXPECT_FALSE(store->has(drop.cid));  // the tombstone replayed
+  EXPECT_TRUE(store->has(keep.cid()));
+  EXPECT_FALSE(store->has(drop.cid()));  // the tombstone replayed
 }
 
 TEST(PersistentStore, PinnedBlocksSurviveCompaction) {
@@ -93,10 +127,10 @@ TEST(PersistentStore, PinnedBlocksSurviveCompaction) {
     const auto block = make_block(300 + i * 11, rng);
     store->put(block);
     if (i % 3 == 0) {
-      store->pin(block.cid);
+      store->pin(block.cid());
       pinned.push_back(block);
     } else {
-      unpinned_bytes += block.data.size();
+      unpinned_bytes += block.data()->size();
       unpinned.push_back(block);
     }
   }
@@ -105,20 +139,20 @@ TEST(PersistentStore, PinnedBlocksSurviveCompaction) {
   // GC reclaims exactly the unpinned payload bytes, nothing else.
   EXPECT_EQ(store->collect_garbage(), unpinned_bytes);
   for (const auto& block : pinned) {
-    const auto data = store->get(block.cid);
+    const auto data = store->get(block.cid());
     ASSERT_TRUE(data != nullptr);
-    EXPECT_EQ(*data, block.data);
-    EXPECT_TRUE(store->pinned(block.cid));
+    EXPECT_EQ(*data, *block.data());
+    EXPECT_TRUE(store->pinned(block.cid()));
   }
-  for (const auto& block : unpinned) EXPECT_FALSE(store->has(block.cid));
+  for (const auto& block : unpinned) EXPECT_FALSE(store->has(block.cid()));
 
   // The compaction physically rewrote the log: survivors and pins
   // replay from the fresh segments after a crash.
   store->handle_crash();
   EXPECT_EQ(store->block_count(), pinned.size());
   for (const auto& block : pinned) {
-    EXPECT_TRUE(store->has(block.cid));
-    EXPECT_TRUE(store->pinned(block.cid));
+    EXPECT_TRUE(store->has(block.cid()));
+    EXPECT_TRUE(store->pinned(block.cid()));
   }
 }
 
@@ -128,9 +162,9 @@ TEST(PersistentStore, GcOnEmptyAndAllPinnedReclaimsNothing) {
   sim::Rng rng(5);
   const auto block = make_block(512, rng);
   store->put(block);
-  store->pin(block.cid);
+  store->pin(block.cid());
   EXPECT_EQ(store->collect_garbage(), 0u);
-  EXPECT_TRUE(store->has(block.cid));
+  EXPECT_TRUE(store->has(block.cid()));
 }
 
 TEST(PersistentStore, TornFinalRecordIsTruncatedNotFatal) {
@@ -153,12 +187,12 @@ TEST(PersistentStore, TornFinalRecordIsTruncatedNotFatal) {
   store->handle_crash();
   EXPECT_EQ(store->recovered_truncated_bytes(), garbage.size());
   EXPECT_EQ(store->block_count(), blocks.size());
-  for (const auto& block : blocks) EXPECT_TRUE(store->has(block.cid));
+  for (const auto& block : blocks) EXPECT_TRUE(store->has(block.cid()));
 
   // And the truncated store keeps working: new puts append cleanly.
   const auto fresh = make_block(64, rng);
   EXPECT_EQ(store->put(fresh), PutStatus::kStored);
-  EXPECT_TRUE(store->has(fresh.cid));
+  EXPECT_TRUE(store->has(fresh.cid()));
 }
 
 TEST(PersistentStore, CrashCutsUnsyncedTailOnly) {
@@ -176,13 +210,13 @@ TEST(PersistentStore, CrashCutsUnsyncedTailOnly) {
   // The durable block survives unconditionally; the unsynced one may or
   // may not (the seeded cut can fall anywhere in its record) — but the
   // store must be consistent either way.
-  const auto data = store->get(durable.cid);
+  const auto data = store->get(durable.cid());
   ASSERT_TRUE(data != nullptr);
-  EXPECT_EQ(*data, durable.data);
-  if (store->has(at_risk.cid)) {
-    const auto survived = store->get(at_risk.cid);
+  EXPECT_EQ(*data, *durable.data());
+  if (store->has(at_risk.cid())) {
+    const auto survived = store->get(at_risk.cid());
     ASSERT_TRUE(survived != nullptr);
-    EXPECT_EQ(*survived, at_risk.data);
+    EXPECT_EQ(*survived, *at_risk.data());
   }
 }
 
@@ -226,11 +260,11 @@ TEST(PersistentStoreCompat, ReopensReferenceSegmentIntact) {
   auto store = open_compat_files(crypto::from_hex(kCompatSegmentHex));
   EXPECT_EQ(store->recovered_truncated_bytes(), 0u);
   EXPECT_EQ(store->block_count(), 1u);
-  const auto data = store->get(pinned.cid);
+  const auto data = store->get(pinned.cid());
   ASSERT_TRUE(data != nullptr);
-  EXPECT_EQ(*data, pinned.data);
-  EXPECT_TRUE(store->pinned(pinned.cid));
-  EXPECT_FALSE(store->has(removed.cid));
+  EXPECT_EQ(*data, *pinned.data());
+  EXPECT_TRUE(store->pinned(pinned.cid()));
+  EXPECT_FALSE(store->has(removed.cid()));
 }
 
 TEST(PersistentStoreCompat, WriterReproducesReferenceBytes) {
@@ -239,8 +273,8 @@ TEST(PersistentStoreCompat, WriterReproducesReferenceBytes) {
   auto store = make_persistent();
   ASSERT_EQ(store->put(pinned), PutStatus::kStored);
   ASSERT_EQ(store->put(removed), PutStatus::kStored);
-  store->pin(pinned.cid);
-  ASSERT_TRUE(store->remove(removed.cid));
+  store->pin(pinned.cid());
+  ASSERT_TRUE(store->remove(removed.cid()));
   store->flush();
 
   std::vector<std::uint8_t> bytes;
@@ -260,8 +294,8 @@ TEST(PersistentStoreCompat, FlippedPayloadBitIsCutAtCrc) {
   auto store = open_compat_files(segment);
   EXPECT_EQ(store->recovered_truncated_bytes(),
             segment.size() - kCompatFirstRecordBytes);
-  EXPECT_TRUE(store->has(pinned.cid));
-  EXPECT_FALSE(store->has(removed.cid));
+  EXPECT_TRUE(store->has(pinned.cid()));
+  EXPECT_FALSE(store->has(removed.cid()));
   EXPECT_EQ(store->storage().size("seg-00000000.log"),
             kCompatFirstRecordBytes);
 }
@@ -277,7 +311,7 @@ TEST(AsyncStore, QueuesThenDrainsAtBatchSize) {
   // Below the batch threshold: everything still queued, yet readable.
   EXPECT_EQ(store.queued_blocks(), 3u);
   EXPECT_EQ(store.base().block_count(), 0u);
-  for (const auto& block : blocks) EXPECT_TRUE(store.has(block.cid));
+  for (const auto& block : blocks) EXPECT_TRUE(store.has(block.cid()));
 
   store.put(make_block(100, rng));  // 4th put trips the batch drain
   EXPECT_EQ(store.queued_blocks(), 0u);
@@ -307,10 +341,10 @@ TEST(AsyncStore, RemoveReachesQueuedAndDrainedBlocks) {
   store.put(drained);
   store.flush();
   store.put(queued);
-  EXPECT_TRUE(store.remove(queued.cid));
-  EXPECT_TRUE(store.remove(drained.cid));
-  EXPECT_FALSE(store.has(queued.cid));
-  EXPECT_FALSE(store.has(drained.cid));
+  EXPECT_TRUE(store.remove(queued.cid()));
+  EXPECT_TRUE(store.remove(drained.cid()));
+  EXPECT_FALSE(store.has(queued.cid()));
+  EXPECT_FALSE(store.has(drained.cid()));
   EXPECT_EQ(store.block_count(), 0u);
 }
 
@@ -323,12 +357,12 @@ TEST(AsyncStore, PinnedQueuedBlockSurvivesGc) {
   const auto drop = make_block(100, rng);
   store.put(keep);
   store.put(drop);
-  store.pin(keep.cid);
+  store.pin(keep.cid());
   // GC drains the queue first, so the pinned-but-queued block is judged
   // by the base store and survives.
-  EXPECT_EQ(store.collect_garbage(), drop.data.size());
-  EXPECT_TRUE(store.has(keep.cid));
-  EXPECT_FALSE(store.has(drop.cid));
+  EXPECT_EQ(store.collect_garbage(), drop.data()->size());
+  EXPECT_TRUE(store.has(keep.cid()));
+  EXPECT_FALSE(store.has(drop.cid()));
 }
 
 // The crash-during-flush sweep (invariant the async front is built for):
@@ -372,20 +406,20 @@ TEST(AsyncStore, AckedPutsSurviveCrashAcrossThreeHundredSeeds) {
         store.handle_crash();
         unflushed.clear();  // the crash may have taken them
         for (const std::size_t i : acked) {
-          const auto data = store.get(all[i].cid);
+          const auto data = store.get(all[i].cid());
           ASSERT_TRUE(data != nullptr)
               << "seed " << seed << ": acked block " << i
               << " lost after crash at op " << op;
-          EXPECT_EQ(*data, all[i].data) << "seed " << seed;
+          EXPECT_EQ(*data, *all[i].data()) << "seed " << seed;
         }
       }
     }
     store.handle_crash();
     for (const std::size_t i : acked) {
-      const auto data = store.get(all[i].cid);
+      const auto data = store.get(all[i].cid());
       ASSERT_TRUE(data != nullptr)
           << "seed " << seed << ": acked block " << i << " lost at the end";
-      EXPECT_EQ(*data, all[i].data) << "seed " << seed;
+      EXPECT_EQ(*data, *all[i].data()) << "seed " << seed;
     }
   }
 }
@@ -394,22 +428,18 @@ TEST(StoreConfigFactory, BuildsEveryBackend) {
   sim::Rng rng(12);
   const auto block = make_block(100, rng);
   for (const auto backend : {StoreConfig::Backend::kMemory,
-                             StoreConfig::Backend::kPersistentSync,
                              StoreConfig::Backend::kPersistentAsync}) {
     StoreConfig config;
     config.backend = backend;
     const auto store = make_store(config, nullptr);
     ASSERT_TRUE(store != nullptr);
-    EXPECT_EQ(store->put(block.cid,
-                         std::make_shared<const std::vector<std::uint8_t>>(
-                             block.data)),
-              PutStatus::kStored);
+    EXPECT_EQ(store->put(block.cid(), block.data()), PutStatus::kStored);
     store->flush();
-    const auto data = store->get(block.cid);
+    const auto data = store->get(block.cid());
     ASSERT_TRUE(data != nullptr);
-    EXPECT_EQ(*data, block.data);
+    EXPECT_EQ(*data, *block.data());
     store->handle_crash();
-    EXPECT_TRUE(store->has(block.cid));
+    EXPECT_TRUE(store->has(block.cid()));
   }
 }
 
