@@ -227,7 +227,8 @@ SybilPanel run_sybil_panel(std::uint64_t seed, std::size_t cap) {
     // Adversarial entries grouped by bucket (cpl vs the victim's key);
     // the flood aims all of one victim's sybils at a single bucket.
     std::vector<std::size_t> per_bucket(dht::kBucketCount, 0);
-    for (const auto& peer : s.dht(v).routing_table().all_peers()) {
+    for (const auto& contact : s.dht(v).routing_table().contacts()) {
+      const dht::PeerRef& peer = *contact.peer();
       if (!s.attack()->is_adversarial_id(peer.id)) continue;
       ++adversarial;
       const std::size_t cpl = static_cast<std::size_t>(

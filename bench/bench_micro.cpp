@@ -89,9 +89,8 @@ void BM_RoutingTableClosest(benchmark::State& state) {
   dht::RoutingTable table(
       dht::Key::for_peer(world::synthetic_peer_id(0)));
   for (std::uint64_t i = 1; i <= 4000; ++i) {
-    table.upsert(dht::PeerRef{world::synthetic_peer_id(i),
-                              static_cast<sim::NodeId>(i),
-                              {}});
+    table.upsert(dht::Contact::of(dht::PeerRef{
+        world::synthetic_peer_id(i), static_cast<sim::NodeId>(i), {}}));
   }
   const dht::Key target = dht::Key::hash_of(random_bytes(32, 6));
   for (auto _ : state) {

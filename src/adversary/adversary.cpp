@@ -76,7 +76,7 @@ AttackPlan::AttackPlan(sim::Network& network, AttackConfig config,
       attacker_nodes_.push_back(node);
       install_handler(node);
       eclipse_refs_.push_back(
-          mint_ref(node, [this, &target](const dht::Key& key) {
+          mint(node, [this, &target](const dht::Key& key) {
             return key.common_prefix_len(target) >= config_.eclipse.min_cpl;
           }));
     }
@@ -85,7 +85,8 @@ AttackPlan::AttackPlan(sim::Network& network, AttackConfig config,
     ghost_node_ = network_.add_node(
         sim::NodeConfig{}.with_region(config_.attacker_region).with_dialable(
             false));
-    ghost_ref_ = mint_ref(ghost_node_, [](const dht::Key&) { return true; });
+    ghost_ref_ =
+        *mint(ghost_node_, [](const dht::Key&) { return true; }).peer();
   }
   if (config_.partition) {
     for (std::size_t group = 0; group < config_.partition->groups.size();
@@ -101,7 +102,7 @@ AttackPlan::~AttackPlan() {
   detach();
 }
 
-dht::PeerRef AttackPlan::mint_ref(
+dht::Contact AttackPlan::mint(
     sim::NodeId node, const std::function<bool(const dht::Key&)>& accept) {
   for (;;) {
     const std::uint64_t n = mint_counter_++;
@@ -113,7 +114,7 @@ dht::PeerRef AttackPlan::mint_ref(
     ref.id = std::move(id);
     ref.node = node;
     ref.addresses.push_back(attacker_address(static_cast<std::uint32_t>(n)));
-    return ref;
+    return dht::Contact::of(std::move(ref));
   }
 }
 
@@ -157,7 +158,7 @@ void AttackPlan::arm() {
       for (std::size_t s = 0; s < sybil.per_victim; ++s) {
         const dht::Key& victim_key = victim_keys_[v];
         const sim::NodeId front = sybil_fronts_[s % sybil_fronts_.size()];
-        sybils_per_victim_[v].push_back(mint_ref(
+        sybils_per_victim_[v].push_back(mint(
             front, [&victim_key, &sybil](const dht::Key& key) {
               return key.common_prefix_len(victim_key) == sybil.target_cpl;
             }));
@@ -254,16 +255,15 @@ void AttackPlan::schedule_flood_round(std::size_t round) {
       const dht::PeerRef& victim = victims_[v];
       if (victim.node == sim::kInvalidNode || !network_.online(victim.node))
         continue;
-      for (const dht::PeerRef& sybil_ref : sybils_per_victim_[v]) {
-        const sim::NodeId front = sybil_ref.node;
+      for (const dht::Contact& sybil : sybils_per_victim_[v]) {
+        const sim::NodeId front = sybil.peer()->node;
         const sim::NodeId target = victim.node;
         // The flood vehicle is an ordinary FIND_NODE stamped with the
         // forged server-mode requester: the victim's identify side
         // effect upserts the sybil into exactly the mined bucket.
-        auto request = std::make_shared<dht::FindNodeRequest>();
-        request->requester = sybil_ref;
-        request->requester_is_server = true;
-        request->target = dht::Key::for_peer(sybil_ref.id);
+        auto request = std::make_shared<dht::FindNodeRequest>(
+            sybil, /*requester_is_server=*/true);
+        request->target = sybil.key();
         network_.connect(
             front, target,
             [this, front, target, request = std::move(request)](
@@ -280,17 +280,17 @@ void AttackPlan::schedule_flood_round(std::size_t round) {
 }
 
 void AttackPlan::announce_eclipse() {
-  for (const dht::PeerRef& ref : eclipse_refs_) {
+  for (const dht::Contact& attacker : eclipse_refs_) {
+    const sim::NodeId from = attacker.peer()->node;
     for (const dht::PeerRef& victim : victims_) {
       if (victim.node == sim::kInvalidNode || !network_.online(victim.node))
         continue;
       const sim::NodeId target = victim.node;
-      auto request = std::make_shared<dht::FindNodeRequest>();
-      request->requester = ref;
-      request->requester_is_server = true;
-      request->target = dht::Key::for_peer(ref.id);
-      network_.connect(ref.node, target,
-                       [this, from = ref.node, target,
+      auto request = std::make_shared<dht::FindNodeRequest>(
+          attacker, /*requester_is_server=*/true);
+      request->target = attacker.key();
+      network_.connect(from, target,
+                       [this, from, target,
                         request = std::move(request)](bool ok, sim::Duration) {
                          if (!ok || !armed_) return;
                          network_.request(

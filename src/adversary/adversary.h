@@ -172,11 +172,13 @@ class AttackPlan : public sim::FaultInjector {
   const std::vector<sim::NodeId>& attacker_nodes() const {
     return attacker_nodes_;
   }
-  const std::vector<dht::PeerRef>& eclipse_refs() const {
+  // Forged identities are minted as contacts, so every forged answer and
+  // flood request shares their handles.
+  const std::vector<dht::Contact>& eclipse_refs() const {
     return eclipse_refs_;
   }
   // Sybil identities mined for victim i (parallel to add_victim order).
-  const std::vector<dht::PeerRef>& sybil_refs(std::size_t victim) const {
+  const std::vector<dht::Contact>& sybil_refs(std::size_t victim) const {
     return sybils_per_victim_[victim];
   }
   std::size_t victim_count() const { return victims_.size(); }
@@ -228,8 +230,8 @@ class AttackPlan : public sim::FaultInjector {
   static multiformats::Multiaddr attacker_address(std::uint32_t n);
 
  private:
-  dht::PeerRef mint_ref(sim::NodeId node,
-                        const std::function<bool(const dht::Key&)>& accept);
+  dht::Contact mint(sim::NodeId node,
+                    const std::function<bool(const dht::Key&)>& accept);
   void handle_attacker_request(
       sim::NodeId self, sim::NodeId from, const sim::MessagePtr& message,
       const std::function<void(sim::MessagePtr, std::size_t)>& respond);
@@ -253,13 +255,13 @@ class AttackPlan : public sim::FaultInjector {
 
   std::vector<sim::NodeId> attacker_nodes_;  // sybil fronts + eclipse
   std::vector<sim::NodeId> sybil_fronts_;
-  std::vector<dht::PeerRef> eclipse_refs_;
+  std::vector<dht::Contact> eclipse_refs_;
   dht::PeerRef ghost_ref_;
   sim::NodeId ghost_node_ = sim::kInvalidNode;
 
   std::vector<dht::PeerRef> victims_;
   std::vector<dht::Key> victim_keys_;
-  std::vector<std::vector<dht::PeerRef>> sybils_per_victim_;
+  std::vector<std::vector<dht::Contact>> sybils_per_victim_;
   std::unordered_set<dht::Key, dht::KeyHasher> forged_keys_;
 
   std::vector<sim::NodeId> storm_managed_;

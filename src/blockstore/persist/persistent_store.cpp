@@ -93,9 +93,9 @@ metrics::Counter* PersistentBlockStore::counter(const char* name) const {
   return config_.metrics ? &config_.metrics->counter(name) : nullptr;
 }
 
-void PersistentBlockStore::append_record(const std::string& file,
-                                         std::uint8_t kind, const Cid& cid,
-                                         std::span<const std::uint8_t> data) {
+std::uint64_t PersistentBlockStore::append_record(
+    const std::string& file, std::uint8_t kind, const Cid& cid,
+    std::span<const std::uint8_t> data) {
   const auto cid_bytes = cid.encode();
   std::vector<std::uint8_t> record;
   record.reserve(kHeaderBytes + cid_bytes.size() + data.size());
@@ -108,6 +108,7 @@ void PersistentBlockStore::append_record(const std::string& file,
   record.insert(record.end(), data.begin(), data.end());
   storage_->append(file, record);
   dirty_files_.insert(file);
+  return kHeaderBytes + cid_bytes.size();
 }
 
 void PersistentBlockStore::roll_segment_if_full() {
@@ -126,12 +127,12 @@ PutStatus PersistentBlockStore::put(Block block) {
   roll_segment_if_full();
   const std::string file = segment_name(current_segment_);
   const std::uint64_t record_start = storage_->size(file);
-  append_record(file, kKindPut, cid, *data);
+  const std::uint64_t payload_at = append_record(file, kKindPut, cid, *data);
   segments_.insert(current_segment_);
 
   Location loc;
   loc.segment = current_segment_;
-  loc.offset = record_start + kHeaderBytes + cid.encode().size();
+  loc.offset = record_start + payload_at;
   loc.length = static_cast<std::uint32_t>(data->size());
   index_.emplace(cid, loc);
   total_bytes_ += data->size();
@@ -218,11 +219,12 @@ std::uint64_t PersistentBlockStore::collect_garbage() {
     roll_segment_if_full();
     const std::string file = segment_name(current_segment_);
     const std::uint64_t record_start = storage_->size(file);
-    append_record(file, kKindPut, cid, payload);
+    const std::uint64_t payload_at =
+        append_record(file, kKindPut, cid, payload);
     segments_.insert(current_segment_);
     Location loc;
     loc.segment = current_segment_;
-    loc.offset = record_start + kHeaderBytes + cid.encode().size();
+    loc.offset = record_start + payload_at;
     loc.length = static_cast<std::uint32_t>(payload.size());
     index_.emplace(cid, loc);
     total_bytes_ += payload.size();

@@ -97,8 +97,11 @@ class PersistentBlockStore : public BlockStore {
 
   static std::string segment_name(std::uint32_t id);
   metrics::Counter* counter(const char* name) const;
-  void append_record(const std::string& file, std::uint8_t kind,
-                     const Cid& cid, std::span<const std::uint8_t> data);
+  // Appends one record; returns the payload's offset from the record's
+  // first byte (the header plus the encoded CID).
+  std::uint64_t append_record(const std::string& file, std::uint8_t kind,
+                              const Cid& cid,
+                              std::span<const std::uint8_t> data);
   void roll_segment_if_full();
   // Scans one log file, applying records via `apply`; truncates at the
   // first torn/corrupt record. Returns bytes truncated.

@@ -46,7 +46,9 @@ struct Crawler::Run : std::enable_shared_from_this<Crawler::Run> {
   int concurrency = 16;
   std::function<void(CrawlResult)> done;
 
-  std::deque<dht::PeerRef> frontier;
+  // Handles to the peers' shared contacts: queueing and visiting a peer
+  // copies no PeerRef; its observation takes the one copy.
+  std::deque<std::shared_ptr<const dht::PeerRef>> frontier;
   // Visited set keyed by the dense sim NodeId (unique per peer), as a
   // bitmap over the id space. The crawl graph hands us every peer ~64
   // times (once per routing table listing it), so this dedup runs
@@ -57,18 +59,19 @@ struct Crawler::Run : std::enable_shared_from_this<Crawler::Run> {
   int in_flight = 0;
   bool finished = false;
 
-  void enqueue(const dht::PeerRef& peer) {
-    if (peer.node == self) return;
-    if (peer.node >= seen.size()) seen.resize(peer.node + 1, 0);
-    if (seen[peer.node] != 0) return;
-    seen[peer.node] = 1;
+  void enqueue(const std::shared_ptr<const dht::PeerRef>& peer) {
+    const sim::NodeId node = peer->node;
+    if (node == self) return;
+    if (node >= seen.size()) seen.resize(node + 1, 0);
+    if (seen[node] != 0) return;
+    seen[node] = 1;
     frontier.push_back(peer);
   }
 
   void pump() {
     if (finished) return;
     while (in_flight < concurrency && !frontier.empty()) {
-      dht::PeerRef next = frontier.front();
+      std::shared_ptr<const dht::PeerRef> next = std::move(frontier.front());
       frontier.pop_front();
       visit(std::move(next));
     }
@@ -79,19 +82,21 @@ struct Crawler::Run : std::enable_shared_from_this<Crawler::Run> {
     }
   }
 
-  void visit(dht::PeerRef peer) {
+  void visit(std::shared_ptr<const dht::PeerRef> peer) {
     ++in_flight;
     auto self_ptr = shared_from_this();
     const sim::Time connect_start = network->now();
+    const sim::NodeId node = peer->node;
     network->connect(
-        self, peer.node,
-        [self_ptr, peer, connect_start](bool ok, sim::Duration elapsed) {
+        self, node,
+        [self_ptr, peer = std::move(peer), connect_start](
+            bool ok, sim::Duration elapsed) {
           if (!ok) {
             PeerObservation obs;
-            obs.peer = peer;
+            obs.peer = *peer;
             obs.reached = false;
             obs.connect_duration = elapsed;
-            obs.ip_addresses = extract_ips(peer);
+            obs.ip_addresses = extract_ips(*peer);
             self_ptr->result.observations.push_back(std::move(obs));
             --self_ptr->in_flight;
             self_ptr->pump();
@@ -99,30 +104,30 @@ struct Crawler::Run : std::enable_shared_from_this<Crawler::Run> {
           }
           const sim::Time rpc_start = self_ptr->network->now();
           self_ptr->network->request(
-              self_ptr->self, peer.node,
+              self_ptr->self, peer->node,
               std::make_shared<dht::ListBucketsRequest>(),
               dht::kRequestBaseBytes, sim::seconds(10),
               [self_ptr, peer, connect_start, rpc_start](
                   sim::RpcStatus status, const sim::MessagePtr& message) {
                 PeerObservation obs;
-                obs.peer = peer;
+                obs.peer = *peer;
                 obs.connect_duration =
                     rpc_start - connect_start;
                 obs.crawl_duration =
                     self_ptr->network->now() - rpc_start;
-                obs.ip_addresses = extract_ips(peer);
+                obs.ip_addresses = extract_ips(*peer);
                 if (status == sim::RpcStatus::kOk) {
                   obs.reached = true;
                   if (const auto* buckets =
                           dynamic_cast<const dht::ListBucketsResponse*>(
                               message.get())) {
-                    for (const auto& entry : buckets->peers)
-                      self_ptr->enqueue(entry);
+                    for (const dht::Contact& entry : buckets->peers)
+                      self_ptr->enqueue(entry.peer());
                   }
                 }
                 self_ptr->result.observations.push_back(std::move(obs));
                 // Keep the crawler's connection count bounded.
-                self_ptr->network->disconnect(self_ptr->self, peer.node);
+                self_ptr->network->disconnect(self_ptr->self, peer->node);
                 --self_ptr->in_flight;
                 self_ptr->pump();
               });
@@ -144,7 +149,8 @@ void Crawler::crawl(std::function<void(CrawlResult)> done) {
   run->concurrency = concurrency_;
   run->done = std::move(done);
   run->result.started_at = network_.now();
-  for (const auto& peer : bootstrap_) run->enqueue(peer);
+  for (const auto& peer : bootstrap_)
+    run->enqueue(std::make_shared<const dht::PeerRef>(peer));
   run->pump();
 }
 

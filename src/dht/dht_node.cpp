@@ -10,9 +10,9 @@ DhtNode::DhtNode(transport::Transport& transport, multiformats::PeerId id,
                  std::vector<multiformats::Multiaddr> addresses,
                  RecordStore* shared_store)
     : transport_(transport),
-      self_(std::make_shared<const PeerRef>(
+      self_(Contact::of(
           PeerRef{std::move(id), transport.local(), std::move(addresses)})),
-      routing_table_(Key::for_peer(self_->id)),
+      routing_table_(self_.key()),
       records_(shared_store != nullptr ? shared_store : &own_records_) {
   schedule_expiry_sweep();
 }
@@ -61,12 +61,12 @@ void DhtNode::set_bucket_diversity_cap(std::size_t cap) {
   // contacts. Existing entries re-enter in insertion order, so entries
   // over a newly lowered cap are shed.
   RoutingTable capped(routing_table_.local_key(), cap);
-  capped.bulk_load(routing_table_.entries());
+  capped.bulk_load(routing_table_.contacts());
   routing_table_ = std::move(capped);
 }
 
 void DhtNode::answer_closer_peers(const Key& target,
-                                  std::vector<PeerRef>& out) const {
+                                  std::vector<Contact>& out) const {
   out = routing_table_.closest(target, kReplication);
 }
 
@@ -110,9 +110,9 @@ bool DhtNode::handle_request(
       kind == sim::MessageKind::kGetValueRequest) {
     const auto* lookup_request =
         static_cast<const LookupRequestBase*>(message.get());
-    if (lookup_request->requester_is_server &&
-        !lookup_request->requester.id.empty() &&
-        lookup_request->requester.node != sim::kInvalidNode) {
+    const PeerRef& requester = *lookup_request->requester.peer();
+    if (lookup_request->requester_is_server && !requester.id.empty() &&
+        requester.node != sim::kInvalidNode) {
       routing_table_.upsert(lookup_request->requester);
     }
   }
@@ -181,7 +181,7 @@ bool DhtNode::handle_request(
     }
     case sim::MessageKind::kListBucketsRequest: {
       auto response = std::make_shared<ListBucketsResponse>();
-      response->peers = routing_table_.all_peers();
+      response->peers = routing_table_.contacts();
       respond(std::move(response), response_size_for(response->peers.size()));
       break;
     }
@@ -231,23 +231,21 @@ bool DhtNode::handle_message(sim::NodeId from, const sim::MessagePtr& message) {
 }
 
 LookupHost DhtNode::make_lookup_host() {
-  LookupHost host;
-  host.transport = &transport_;
-  host.self_ref = *self_;
+  LookupHost host(&transport_, self_);
   host.server_mode = mode_ == Mode::kServer;
   host.provider_quorum = provider_quorum_;
-  host.on_peer_responded = [this](const PeerRef& peer) {
-    routing_table_.upsert(peer);
+  host.on_peer_responded = [this](const Contact& contact) {
+    routing_table_.upsert(contact);
   };
-  host.on_peer_failed = [this](const PeerRef& peer) {
+  host.on_peer_failed = [this](const Contact& contact) {
     // Evict unresponsive peers so the table self-heals under churn.
-    routing_table_.remove(peer.id);
+    routing_table_.remove(contact);
   };
   return host;
 }
 
 const Lookup* DhtNode::start_lookup(
-    LookupType type, const Key& target, std::vector<PeerRef> seeds,
+    LookupType type, const Key& target, std::vector<Contact> seeds,
     Lookup::Callback cb, std::optional<multiformats::PeerId> target_peer,
     metrics::SpanId parent_span) {
   auto wrapped = [this, cb = std::move(cb)](LookupResult result) {
@@ -283,10 +281,10 @@ void DhtNode::cancel_lookup(const Lookup* handle) {
   active_lookups_.erase(it);
 }
 
-void DhtNode::run_autonat(std::vector<PeerRef> probes,
+void DhtNode::run_autonat(std::vector<Contact> probes,
                           std::function<void()> done) {
   if (probes.size() > static_cast<std::size_t>(kAutonatProbes))
-    probes.resize(kAutonatProbes);
+    probes.erase(probes.begin() + kAutonatProbes, probes.end());
   auto state = std::make_shared<std::pair<int, int>>(0, 0);  // done, reachable
   const int total = static_cast<int>(probes.size());
   if (total == 0) {
@@ -304,8 +302,8 @@ void DhtNode::run_autonat(std::vector<PeerRef> probes,
   };
   for (const auto& probe : probes) {
     transport_.request(
-        probe.node, std::make_shared<DialBackRequest>(), kRequestBaseBytes,
-        kRpcTimeout,
+        probe.peer()->node, std::make_shared<DialBackRequest>(),
+        kRequestBaseBytes, kRpcTimeout,
         [finish_one](sim::RpcStatus status, const sim::MessagePtr& message) {
           if (status != sim::RpcStatus::kOk) {
             finish_one(false);
@@ -328,12 +326,17 @@ void DhtNode::bootstrap(std::vector<PeerRef> seeds,
   }
 
   auto after_connections = [this, done = std::move(done)](
-                               std::vector<PeerRef> connected) {
-    if (connected.empty()) {
+                               const std::vector<PeerRef>& refs) {
+    if (refs.empty()) {
       done(false);
       return;
     }
-    for (const auto& peer : connected) routing_table_.upsert(peer);
+    std::vector<Contact> connected;
+    connected.reserve(refs.size());
+    for (const auto& peer : refs) {
+      connected.push_back(Contact::of(peer));
+      routing_table_.upsert(connected.back());
+    }
     run_autonat(connected, [this, connected, done] {
       // Self-lookup to populate the routing table (standard Kademlia join).
       start_lookup(LookupType::kFindNode, routing_table_.local_key(),
@@ -418,7 +421,7 @@ void DhtNode::store_provider_records(
                          if (ok) {
                            auto add = std::make_shared<AddProviderRequest>();
                            add->key = key;
-                           add->provider = *self_;
+                           add->provider = self();
                            transport_.send(
                                peer.node, std::move(add),
                                kRequestBaseBytes + kPeerRefBytes);

@@ -180,21 +180,16 @@ class DhtNode {
   // daemon uses this, since a small localhost cluster can never muster
   // enough probes even though every endpoint is dialable by construction.
   void fix_mode(Mode mode);
-  const PeerRef& self() const { return *self_; }
-  // The immutable self contact, shared by every routing table entry that
-  // points at this node (World seeding).
-  const std::shared_ptr<const PeerRef>& self_handle() const { return self_; }
+  const PeerRef& self() const { return *self_.peer(); }
+  // The immutable self contact, made once at construction: its key is
+  // the routing table's local key, requests stamp it as the requester,
+  // and every routing-table entry that points at this node shares it.
+  const Contact& self_contact() const { return self_; }
   RoutingTable& routing_table() { return routing_table_; }
   const RoutingTable& routing_table() const { return routing_table_; }
   RecordStore& record_store() { return *records_; }
-  sim::NodeId node() const { return self_->node; }
+  sim::NodeId node() const { return self_.peer()->node; }
   transport::Transport& transport() { return transport_; }
-
-  // Peers the crawler can enumerate (Section 4.1): the full k-bucket
-  // contents, as the crawler's per-bucket FIND_NODE sweep would recover.
-  std::vector<PeerRef> crawlable_peers() const {
-    return routing_table_.all_peers();
-  }
 
  private:
   // Bridge for the sim convenience constructor: the owned backend is
@@ -206,21 +201,21 @@ class DhtNode {
           RecordStore* shared_store);
 
   const Lookup* start_lookup(LookupType type, const Key& target,
-                             std::vector<PeerRef> seeds, Lookup::Callback cb,
+                             std::vector<Contact> seeds, Lookup::Callback cb,
                              std::optional<multiformats::PeerId> target_peer =
                                  std::nullopt,
                              metrics::SpanId parent_span = 0);
   LookupHost make_lookup_host();
-  void run_autonat(std::vector<PeerRef> probes, std::function<void()> done);
+  void run_autonat(std::vector<Contact> probes, std::function<void()> done);
   void schedule_republish();
   void schedule_expiry_sweep();
-  void answer_closer_peers(const Key& target, std::vector<PeerRef>& out) const;
+  void answer_closer_peers(const Key& target, std::vector<Contact>& out) const;
 
   // Declared first so an owned backend outlives every member that holds
   // the transport_ reference; null when the transport is external.
   std::unique_ptr<transport::Transport> owned_transport_;
   transport::Transport& transport_;
-  std::shared_ptr<const PeerRef> self_;
+  Contact self_;
   Mode mode_ = Mode::kClient;
   std::optional<Mode> fixed_mode_;
   RoutingTable routing_table_;

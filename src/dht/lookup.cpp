@@ -21,7 +21,7 @@ const char* lookup_span_name(LookupType type) {
 }  // namespace
 
 std::shared_ptr<Lookup> Lookup::start(
-    LookupHost host, LookupType type, Key target, std::vector<PeerRef> seeds,
+    LookupHost host, LookupType type, Key target, std::vector<Contact> seeds,
     Callback cb, std::optional<multiformats::PeerId> target_peer) {
   auto lookup = std::shared_ptr<Lookup>(new Lookup(
       std::move(host), type, std::move(target), std::move(cb),
@@ -51,13 +51,15 @@ Lookup::Lookup(LookupHost host, LookupType type, Key target, Callback cb,
       cb_(std::move(cb)),
       target_peer_(std::move(target_peer)) {}
 
-void Lookup::add_candidate(const PeerRef& peer) {
+void Lookup::add_candidate(const Contact& contact) {
+  const PeerRef& peer = *contact.peer();
   if (peer.node == host_.transport->local()) return;
-  const Key key = Key::for_peer(peer.id);
+  const Key& key = contact.key();
   if (index_.contains(key)) return;
   const auto distance = key.distance_to(target_);
   index_.emplace(key, distance);
-  candidates_.emplace(distance, Candidate{peer, CandidateState::kUnqueried});
+  candidates_.emplace(distance,
+                      Candidate{contact, CandidateState::kUnqueried});
 
   // Early peer-discovery match: someone handed us the target's addresses.
   if (target_peer_ && peer.id == *target_peer_) {
@@ -100,7 +102,7 @@ void Lookup::pump() {
     if (candidate.state != CandidateState::kUnqueried) continue;
     candidate.state = CandidateState::kInFlight;
     ++in_flight_;
-    query(Key::for_peer(candidate.peer.id));
+    query(candidate.contact.key());
   }
 
   // No queries possible and none in flight: candidate space exhausted.
@@ -109,9 +111,9 @@ void Lookup::pump() {
 
 void Lookup::query(const Key& candidate_key) {
   const auto it = index_.find(candidate_key);
-  const PeerRef peer = candidates_.at(it->second).peer;
+  const sim::NodeId node = candidates_.at(it->second).contact.peer()->node;
   auto self = shared_from_this();
-  host_.transport->connect(peer.node,
+  host_.transport->connect(node,
                            [self, candidate_key](bool ok, sim::Duration) {
                              self->on_dial_result(candidate_key, ok);
                            });
@@ -126,7 +128,7 @@ void Lookup::on_dial_result(const Key& candidate_key, bool ok) {
     --in_flight_;
     ++result_.dials_failed;
     host_.transport->metrics().counter("dht.lookup.dials_failed").inc();
-    if (host_.on_peer_failed) host_.on_peer_failed(candidate.peer);
+    if (host_.on_peer_failed) host_.on_peer_failed(candidate.contact);
     pump();
     return;
   }
@@ -134,26 +136,23 @@ void Lookup::on_dial_result(const Key& candidate_key, bool ok) {
   sim::MessagePtr request;
   switch (type_) {
     case LookupType::kFindNode: {
-      auto msg = std::make_shared<FindNodeRequest>();
+      auto msg =
+          std::make_shared<FindNodeRequest>(host_.self, host_.server_mode);
       msg->target = target_;
-      msg->requester = host_.self_ref;
-      msg->requester_is_server = host_.server_mode;
       request = std::move(msg);
       break;
     }
     case LookupType::kGetProviders: {
-      auto msg = std::make_shared<GetProvidersRequest>();
+      auto msg = std::make_shared<GetProvidersRequest>(host_.self,
+                                                       host_.server_mode);
       msg->key = target_;
-      msg->requester = host_.self_ref;
-      msg->requester_is_server = host_.server_mode;
       request = std::move(msg);
       break;
     }
     case LookupType::kGetValue: {
-      auto msg = std::make_shared<GetValueRequest>();
+      auto msg =
+          std::make_shared<GetValueRequest>(host_.self, host_.server_mode);
       msg->key = target_;
-      msg->requester = host_.self_ref;
-      msg->requester_is_server = host_.server_mode;
       request = std::move(msg);
       break;
     }
@@ -163,7 +162,8 @@ void Lookup::on_dial_result(const Key& candidate_key, bool ok) {
   host_.transport->metrics().counter("dht.lookup.rpcs_sent").inc();
   auto self = shared_from_this();
   host_.transport->request(
-      candidate.peer.node, std::move(request), kRequestBaseBytes, kRpcTimeout,
+      candidate.contact.peer()->node, std::move(request), kRequestBaseBytes,
+      kRpcTimeout,
       [self, candidate_key](sim::RpcStatus status,
                             const sim::MessagePtr& message) {
         self->on_response(candidate_key, status, message);
@@ -181,21 +181,23 @@ void Lookup::on_response(const Key& candidate_key, sim::RpcStatus status,
     candidate.state = CandidateState::kFailed;
     ++result_.rpcs_failed;
     host_.transport->metrics().counter("dht.lookup.rpcs_failed").inc();
-    if (host_.on_peer_failed) host_.on_peer_failed(candidate.peer);
+    if (host_.on_peer_failed) host_.on_peer_failed(candidate.contact);
     pump();
     return;
   }
 
   candidate.state = CandidateState::kResponded;
-  if (host_.on_peer_responded) host_.on_peer_responded(candidate.peer);
+  if (host_.on_peer_responded) host_.on_peer_responded(candidate.contact);
 
-  std::vector<PeerRef> closer;
+  // The answer's closer peers, read in place: `message` outlives this
+  // call, and add_candidate() shares each handle it keeps.
+  const std::vector<Contact>* closer = nullptr;
   if (const auto* find_node = dynamic_cast<const FindNodeResponse*>(
           message.get())) {
-    closer = find_node->closer;
+    closer = &find_node->closer;
   } else if (const auto* providers = dynamic_cast<const GetProvidersResponse*>(
                  message.get())) {
-    closer = providers->closer;
+    closer = &providers->closer;
     for (const auto& record : providers->providers) {
       // Several resolvers replicate the same record; carrying duplicates
       // forward would skew retrieval's dial ordering (the same provider
@@ -215,7 +217,7 @@ void Lookup::on_response(const Key& candidate_key, sim::RpcStatus status,
     }
   } else if (const auto* value = dynamic_cast<const GetValueResponse*>(
                  message.get())) {
-    closer = value->closer;
+    closer = &value->closer;
     if (value->record) {
       result_.values.push_back(*value->record);
       if (!result_.value || value->record->sequence > result_.value->sequence)
@@ -223,7 +225,8 @@ void Lookup::on_response(const Key& candidate_key, sim::RpcStatus status,
     }
   }
 
-  for (const auto& peer : closer) add_candidate(peer);
+  if (closer != nullptr)
+    for (const Contact& contact : *closer) add_candidate(contact);
   pump();
 }
 
@@ -247,7 +250,7 @@ void Lookup::finish(bool completed) {
   // Assemble the closest responded set.
   for (const auto& [distance, candidate] : candidates_) {
     if (candidate.state != CandidateState::kResponded) continue;
-    result_.closest.push_back(candidate.peer);
+    result_.closest.push_back(*candidate.contact.peer());
     if (result_.closest.size() >= kReplication) break;
   }
   cb_(std::move(result_));

@@ -50,9 +50,12 @@ struct LookupResult {
 
 // Hooks back into the owning DHT node.
 struct LookupHost {
-  transport::Transport* transport = nullptr;
+  LookupHost(transport::Transport* transport, Contact self)
+      : transport(transport), self(std::move(self)) {}
+
+  transport::Transport* transport;
   // Requester identity stamped onto outgoing RPCs (see LookupRequestBase).
-  PeerRef self_ref;
+  Contact self;
   bool server_mode = false;
   // Distinct provider records a kGetProviders walk gathers before
   // terminating. 1 is classic Kademlia (stop at the first record); raising
@@ -64,9 +67,9 @@ struct LookupHost {
   // Enclosing trace span (e.g. a retrieval's provider_walk phase); the
   // walk's dht.lookup.* span is parented under it when non-zero.
   metrics::SpanId parent_span = 0;
-  // Routing-table feedback.
-  std::function<void(const PeerRef&)> on_peer_responded;
-  std::function<void(const PeerRef&)> on_peer_failed;
+  // Routing-table feedback, with the contact the walk was handed.
+  std::function<void(const Contact&)> on_peer_responded;
+  std::function<void(const Contact&)> on_peer_failed;
 };
 
 class Lookup : public std::enable_shared_from_this<Lookup> {
@@ -77,7 +80,7 @@ class Lookup : public std::enable_shared_from_this<Lookup> {
   // PeerID (peer discovery, Section 3.2).
   static std::shared_ptr<Lookup> start(
       LookupHost host, LookupType type, Key target,
-      std::vector<PeerRef> seeds, Callback cb,
+      std::vector<Contact> seeds, Callback cb,
       std::optional<multiformats::PeerId> target_peer = std::nullopt);
 
   // Abandons the walk WITHOUT invoking the callback: the requester
@@ -94,11 +97,11 @@ class Lookup : public std::enable_shared_from_this<Lookup> {
   enum class CandidateState { kUnqueried, kInFlight, kResponded, kFailed };
 
   struct Candidate {
-    PeerRef peer;
+    Contact contact;
     CandidateState state = CandidateState::kUnqueried;
   };
 
-  void add_candidate(const PeerRef& peer);
+  void add_candidate(const Contact& contact);
   void pump();                       // launch queries up to alpha
   void query(const Key& candidate_key);
   void on_dial_result(const Key& candidate_key, bool ok);

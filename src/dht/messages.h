@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -14,9 +15,10 @@
 
 namespace ipfs::dht {
 
-// A peer reference handed around in DHT responses: identity plus the
-// addresses needed to dial it. `node` is the simulator handle the
-// multiaddr resolves to.
+// A peer reference: identity plus the addresses needed to dial it.
+// `node` is the simulator handle the multiaddr resolves to. DHT answers
+// carry it behind a Contact (below); provider records and lookup results
+// hold it by value.
 struct PeerRef {
   multiformats::PeerId id;
   sim::NodeId node = sim::kInvalidNode;
@@ -26,6 +28,37 @@ struct PeerRef {
 
   bool operator==(const PeerRef& other) const { return id == other.id; }
 };
+
+// One peer as the DHT passes it around: its Kademlia key and a handle to
+// one immutable, shared PeerRef. Like blockstore::Block, a Contact is the
+// proof that its key was derived from its id: the constructor is private
+// and both factories hash the id, once. Copies share the handle, so a
+// routing table, a DHT answer and a lookup candidate holding the same
+// peer hold one PeerRef between them.
+class Contact {
+ public:
+  static Contact of(PeerRef peer);
+  static Contact of(std::shared_ptr<const PeerRef> peer);  // non-null
+
+  const Key& key() const { return key_; }
+  const std::shared_ptr<const PeerRef>& peer() const { return peer_; }
+
+ private:
+  Contact(Key key, std::shared_ptr<const PeerRef> peer)
+      : key_(key), peer_(std::move(peer)) {}
+
+  Key key_;  // Key::for_peer(peer_->id)
+  std::shared_ptr<const PeerRef> peer_;
+};
+
+inline Contact Contact::of(PeerRef peer) {
+  return of(std::make_shared<const PeerRef>(std::move(peer)));
+}
+
+inline Contact Contact::of(std::shared_ptr<const PeerRef> peer) {
+  const Key key = Key::for_peer(peer->id);
+  return Contact(key, std::move(peer));
+}
 
 // Provider record (paper Section 3.1): maps a CID key to a peer claiming
 // to hold the content.
@@ -50,11 +83,16 @@ constexpr std::size_t kRequestBaseBytes = 64;
 // add server-mode requesters to their routing tables — this is how newly
 // joined peers become routable.
 struct LookupRequestBase : sim::Message {
-  PeerRef requester;
-  bool requester_is_server = false;
+  LookupRequestBase(Contact requester, bool requester_is_server)
+      : requester(std::move(requester)),
+        requester_is_server(requester_is_server) {}
+
+  Contact requester;
+  bool requester_is_server;
 };
 
 struct FindNodeRequest : LookupRequestBase {
+  using LookupRequestBase::LookupRequestBase;
   Key target;
   sim::MessageKind kind() const override {
     return sim::MessageKind::kFindNodeRequest;
@@ -62,13 +100,14 @@ struct FindNodeRequest : LookupRequestBase {
 };
 
 struct FindNodeResponse : sim::Message {
-  std::vector<PeerRef> closer;
+  std::vector<Contact> closer;
   sim::MessageKind kind() const override {
     return sim::MessageKind::kFindNodeResponse;
   }
 };
 
 struct GetProvidersRequest : LookupRequestBase {
+  using LookupRequestBase::LookupRequestBase;
   Key key;
   sim::MessageKind kind() const override {
     return sim::MessageKind::kGetProvidersRequest;
@@ -77,7 +116,7 @@ struct GetProvidersRequest : LookupRequestBase {
 
 struct GetProvidersResponse : sim::Message {
   std::vector<ProviderRecord> providers;
-  std::vector<PeerRef> closer;
+  std::vector<Contact> closer;
   sim::MessageKind kind() const override {
     return sim::MessageKind::kGetProvidersResponse;
   }
@@ -102,6 +141,7 @@ struct PutValueRequest : sim::Message {
 };
 
 struct GetValueRequest : LookupRequestBase {
+  using LookupRequestBase::LookupRequestBase;
   Key key;
   sim::MessageKind kind() const override {
     return sim::MessageKind::kGetValueRequest;
@@ -110,7 +150,7 @@ struct GetValueRequest : LookupRequestBase {
 
 struct GetValueResponse : sim::Message {
   std::optional<ValueRecord> record;
-  std::vector<PeerRef> closer;
+  std::vector<Contact> closer;
   sim::MessageKind kind() const override {
     return sim::MessageKind::kGetValueResponse;
   }
@@ -126,7 +166,7 @@ struct ListBucketsRequest : sim::Message {
 };
 
 struct ListBucketsResponse : sim::Message {
-  std::vector<PeerRef> peers;
+  std::vector<Contact> peers;
   sim::MessageKind kind() const override {
     return sim::MessageKind::kListBucketsResponse;
   }

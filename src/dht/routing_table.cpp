@@ -43,14 +43,14 @@ RoutingTable::Bucket& RoutingTable::ensure_bucket(std::size_t index) {
   return *it;
 }
 
-bool RoutingTable::admits(const std::vector<Entry>& entries,
+bool RoutingTable::admits(const std::vector<Contact>& entries,
                           const PeerRef& peer) {
   if (entries.size() >= kBucketSize) return false;
   if (diversity_cap_ > 0) {
     if (const auto prefix = diversity_class(peer)) {
       std::size_t shared = 0;
-      for (const Entry& entry : entries)
-        if (diversity_class(*entry.peer) == prefix) ++shared;
+      for (const Contact& entry : entries)
+        if (diversity_class(*entry.peer()) == prefix) ++shared;
       if (shared >= diversity_cap_) {
         ++diversity_rejections_;
         return false;
@@ -60,40 +60,42 @@ bool RoutingTable::admits(const std::vector<Entry>& entries,
   return true;
 }
 
-bool RoutingTable::upsert(const PeerRef& peer) {
-  const Key key = Key::for_peer(peer.id);
+bool RoutingTable::upsert(const Contact& contact) {
+  const Key& key = contact.key();
   if (key == local_key_) return false;
   Bucket& bucket = ensure_bucket(bucket_index(key));
   auto& entries = bucket.entries;
 
-  // Dedup on the cached key (SHA-256 of the PeerID, injective over ids):
-  // an inline 32-byte compare instead of chasing the id's digest buffer.
+  // Dedup on the key (SHA-256 of the PeerID, injective over ids): an
+  // inline 32-byte compare instead of chasing the id's digest buffer.
   const auto it = std::find_if(entries.begin(), entries.end(),
-                               [&](const Entry& entry) {
-                                 return entry.key == key;
+                               [&](const Contact& entry) {
+                                 return entry.key() == key;
                                });
+  const PeerRef& peer = *contact.peer();
   if (it != entries.end()) {
-    // Refresh: move to the tail (most recently seen) and update the
-    // contact if it moved. PeerRef::operator== compares ids only.
-    if (it->peer->node != peer.node || it->peer->addresses != peer.addresses)
-      it->peer = std::make_shared<const PeerRef>(peer);
+    // Refresh: move to the tail (most recently seen) and take the new
+    // handle if the peer moved. PeerRef::operator== compares ids only.
+    const PeerRef& held = *it->peer();
+    if (held.node != peer.node || held.addresses != peer.addresses)
+      *it = contact;
     std::rotate(it, it + 1, entries.end());
     return true;
   }
 
   if (!admits(entries, peer)) return false;
-  entries.push_back(Entry{key, std::make_shared<const PeerRef>(peer)});
+  entries.push_back(contact);
   ++size_;
   return true;
 }
 
-void RoutingTable::bulk_load(std::vector<Entry> entries) {
+void RoutingTable::bulk_load(std::vector<Contact> contacts) {
   assert(buckets_.empty() && "bulk_load() fills an empty table");
   // Count once per bucket index, then create every occupied bucket in
   // index order, each reserved to its final size when nothing is capped.
   std::array<std::uint32_t, kBucketCount> counts{};
-  for (const Entry& entry : entries)
-    if (entry.key != local_key_) ++counts[bucket_index(entry.key)];
+  for (const Contact& contact : contacts)
+    if (contact.key() != local_key_) ++counts[bucket_index(contact.key())];
   std::array<std::uint16_t, kBucketCount> slot{};
   for (std::size_t index = 0; index < kBucketCount; ++index) {
     if (counts[index] == 0) continue;
@@ -103,34 +105,33 @@ void RoutingTable::bulk_load(std::vector<Entry> entries) {
         std::min<std::size_t>(counts[index], kBucketSize));
   }
 
-  for (Entry& entry : entries) {
-    if (entry.key == local_key_) continue;
-    auto& bucket = buckets_[slot[bucket_index(entry.key)]].entries;
-    if (!admits(bucket, *entry.peer)) continue;
-    bucket.push_back(std::move(entry));
+  for (Contact& contact : contacts) {
+    if (contact.key() == local_key_) continue;
+    auto& bucket = buckets_[slot[bucket_index(contact.key())]].entries;
+    if (!admits(bucket, *contact.peer())) continue;
+    bucket.push_back(std::move(contact));
     ++size_;
   }
 }
 
-std::vector<RoutingTable::Entry> RoutingTable::entries() const {
-  std::vector<Entry> out;
+std::vector<Contact> RoutingTable::contacts() const {
+  std::vector<Contact> out;
   out.reserve(size_);
   for (const auto& bucket : buckets_)
     out.insert(out.end(), bucket.entries.begin(), bucket.entries.end());
   return out;
 }
 
-void RoutingTable::remove(const multiformats::PeerId& peer) {
-  const Key key = Key::for_peer(peer);
-  const std::size_t index = bucket_index(key);
+void RoutingTable::remove(const Contact& contact) {
+  const std::size_t index = bucket_index(contact.key());
   const auto bucket_it = std::lower_bound(
       buckets_.begin(), buckets_.end(), index,
       [](const Bucket& bucket, std::size_t i) { return bucket.index < i; });
   if (bucket_it == buckets_.end() || bucket_it->index != index) return;
   auto& entries = bucket_it->entries;
   const auto it = std::find_if(entries.begin(), entries.end(),
-                               [&](const Entry& entry) {
-                                 return entry.peer->id == peer;
+                               [&](const Contact& entry) {
+                                 return entry.key() == contact.key();
                                });
   if (it != entries.end()) {
     entries.erase(it);
@@ -145,7 +146,7 @@ bool RoutingTable::contains(const multiformats::PeerId& peer) const {
   if (bucket == nullptr) return false;
   return std::any_of(
       bucket->entries.begin(), bucket->entries.end(),
-      [&](const Entry& entry) { return entry.peer->id == peer; });
+      [&](const Contact& entry) { return entry.key() == key; });
 }
 
 std::size_t RoutingTable::bucket_size(std::size_t index) const {
@@ -153,13 +154,13 @@ std::size_t RoutingTable::bucket_size(std::size_t index) const {
   return bucket == nullptr ? 0 : bucket->entries.size();
 }
 
-std::vector<PeerRef> RoutingTable::closest(const Key& target,
+std::vector<Contact> RoutingTable::closest(const Key& target,
                                            std::size_t count) const {
   scratch_.clear();
   scratch_.reserve(size_);
   for (const auto& bucket : buckets_)
     for (const auto& entry : bucket.entries)
-      scratch_.push_back({entry.key.distance_to(target), entry.peer.get()});
+      scratch_.push_back({entry.key().distance_to(target), &entry});
 
   const std::size_t take = std::min(count, scratch_.size());
   std::partial_sort(scratch_.begin(), scratch_.begin() + take,
@@ -167,17 +168,9 @@ std::vector<PeerRef> RoutingTable::closest(const Key& target,
                     [](const Candidate& a, const Candidate& b) {
                       return a.distance < b.distance;
                     });
-  std::vector<PeerRef> out;
+  std::vector<Contact> out;
   out.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) out.push_back(*scratch_[i].peer);
-  return out;
-}
-
-std::vector<PeerRef> RoutingTable::all_peers() const {
-  std::vector<PeerRef> out;
-  out.reserve(size_);
-  for (const auto& bucket : buckets_)
-    for (const auto& entry : bucket.entries) out.push_back(*entry.peer);
+  for (std::size_t i = 0; i < take; ++i) out.push_back(*scratch_[i].contact);
   return out;
 }
 

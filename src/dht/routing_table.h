@@ -6,10 +6,11 @@
 // ~log2(n) of the 256 possible prefix lengths are ever occupied, so empty
 // buckets cost nothing), each bucket is a contiguous vector rather than a
 // linked list, and closest() reuses a scratch buffer so steady-state
-// lookups allocate only their result vector. An entry is 48 bytes: the
-// cached key plus a handle to one immutable contact, which every table
-// that knows the peer shares (world seeding hands out each node's own
-// self contact), so filling a table copies no addresses.
+// lookups allocate only their result vector. An entry is a Contact, 48
+// bytes: the peer's key plus a handle to one immutable PeerRef, which
+// every table that knows the peer shares (world seeding hands out each
+// node's self contact; lookups and requesters pass the handle they were
+// given), so filling a table or answering from it copies no addresses.
 #pragma once
 
 #include <array>
@@ -29,11 +30,6 @@ constexpr std::size_t kBucketCount = 256; // i
 
 class RoutingTable {
  public:
-  struct Entry {
-    Key key;  // cached SHA-256 of the PeerID
-    std::shared_ptr<const PeerRef> peer;
-  };
-
   // `diversity_cap` bounds how many entries of any one bucket may share a
   // /16 IPv4 prefix (Henningsen et al.'s Sybil defense: one operator's
   // address block cannot monopolize a bucket). 0 disables the check and
@@ -43,29 +39,28 @@ class RoutingTable {
   // Inserts or refreshes a peer. Full buckets reject newcomers (original
   // Kademlia bias towards long-lived peers, which the paper's churn data
   // justifies). Returns true if the peer is (now) in the table. A new
-  // entry holds one shared copy of `peer`; a refresh replaces it only
-  // when the peer's node or addresses changed.
-  bool upsert(const PeerRef& peer);
+  // entry shares `contact`'s handle; a refresh takes it only when the
+  // peer's node or addresses changed.
+  bool upsert(const Contact& contact);
 
   // Fills an empty table in one pass: the result (entries, order and
-  // diversity_rejections()) equals upserting `entries` in order, with the
-  // same k and diversity limits, but the handles are shared rather than
-  // copied and each bucket is sized once. Keys must be distinct.
-  void bulk_load(std::vector<Entry> entries);
+  // diversity_rejections()) equals upserting `contacts` in order, with
+  // the same k and diversity limits, and each bucket is sized once. Keys
+  // must be distinct.
+  void bulk_load(std::vector<Contact> contacts);
 
-  // Every entry, bucket by bucket in insertion order: feeding the result
-  // to bulk_load() rebuilds the same table (e.g. under a new cap).
-  std::vector<Entry> entries() const;
+  // Every entry, bucket by bucket in insertion order; the handles are
+  // shared, not copied. This is the crawler surface (the paper's crawler
+  // asks peers for all entries in their k-buckets, Section 4.1), and
+  // feeding it to bulk_load() rebuilds the same table (e.g. under a new
+  // cap).
+  std::vector<Contact> contacts() const;
 
-  void remove(const multiformats::PeerId& peer);
+  void remove(const Contact& contact);
   bool contains(const multiformats::PeerId& peer) const;
 
   // Up to `count` peers closest to `target` by XOR distance.
-  std::vector<PeerRef> closest(const Key& target, std::size_t count) const;
-
-  // All peers across all buckets (crawler surface: the paper's crawler
-  // asks peers for all entries in their k-buckets, Section 4.1).
-  std::vector<PeerRef> all_peers() const;
+  std::vector<Contact> closest(const Key& target, std::size_t count) const;
 
   std::size_t size() const { return size_; }
   std::size_t bucket_size(std::size_t index) const;
@@ -89,7 +84,7 @@ class RoutingTable {
   // is a binary search over the handful of occupied prefix lengths.
   struct Bucket {
     std::uint16_t index;
-    std::vector<Entry> entries;
+    std::vector<Contact> entries;
   };
 
   std::size_t bucket_index(const Key& key) const;
@@ -97,7 +92,7 @@ class RoutingTable {
   Bucket& ensure_bucket(std::size_t index);
   // The k limit and the diversity cap for a newcomer to `entries`;
   // counts a diversity rejection.
-  bool admits(const std::vector<Entry>& entries, const PeerRef& peer);
+  bool admits(const std::vector<Contact>& entries, const PeerRef& peer);
 
   Key local_key_;
   std::vector<Bucket> buckets_;  // sorted by Bucket::index
@@ -107,7 +102,7 @@ class RoutingTable {
 
   struct Candidate {
     std::array<std::uint8_t, 32> distance;
-    const PeerRef* peer;
+    const Contact* contact;
   };
   mutable std::vector<Candidate> scratch_;  // closest() workspace
 };

@@ -254,7 +254,8 @@ Scenario ScenarioBuilder::build() const {
         const auto pick = static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(peers_) - 1));
         if (scenario.refs_[pick].id == node->self().id) continue;
-        node->routing_table().upsert(scenario.refs_[pick]);
+        node->routing_table().upsert(
+            scenario.dht_nodes_[pick]->self_contact());
       }
     }
   }

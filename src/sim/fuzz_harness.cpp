@@ -433,7 +433,9 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
   for (std::size_t i = 0; i < kBootstrapCount; ++i) {
     nodes[i]->dht().force_mode(dht::DhtNode::Mode::kServer);
     for (std::size_t j = 0; j < kBootstrapCount; ++j)
-      if (j != i) nodes[i]->dht().routing_table().upsert(nodes[j]->self());
+      if (j != i)
+        nodes[i]->dht().routing_table().upsert(
+            nodes[j]->dht().self_contact());
   }
 
   // Seed set: the four bootstrap servers plus at most one stable extra.
@@ -995,9 +997,9 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
 
   // (4) Routing hygiene: no self entries, no duplicates.
   for (std::size_t i = 0; i < node_count; ++i) {
-    const auto peers = nodes[i]->dht().routing_table().all_peers();
     std::set<multiformats::PeerId> seen;
-    for (const auto& peer : peers) {
+    for (const auto& contact : nodes[i]->dht().routing_table().contacts()) {
+      const dht::PeerRef& peer = *contact.peer();
       if (peer.id == nodes[i]->self().id) {
         std::ostringstream out;
         out << "node " << i << " holds itself in its routing table";
@@ -1210,10 +1212,12 @@ ScheduleReport run_schedule(const ScheduleParams& params) {
     for (std::size_t i = 0; i < node_count; ++i) {
       const dht::Key self_key = dht::Key::for_peer(nodes[i]->self().id);
       std::map<int, std::size_t> adversarial_per_bucket;
-      for (const auto& peer : nodes[i]->dht().routing_table().all_peers())
+      for (const auto& contact : nodes[i]->dht().routing_table().contacts()) {
+        const dht::PeerRef& peer = *contact.peer();
         if (attack->is_adversarial_id(peer.id))
           ++adversarial_per_bucket[self_key.common_prefix_len(
               dht::Key::for_peer(peer.id))];
+      }
       for (const auto& [cpl, count] : adversarial_per_bucket) {
         if (count <= params.diversity_cap) continue;
         std::ostringstream out;

@@ -73,8 +73,12 @@ class Writer {
     i64(record.received_at);
   }
   void requester(const dht::LookupRequestBase& base) {
-    peer_ref(base.requester);
+    peer_ref(*base.requester.peer());
     boolean(base.requester_is_server);
+  }
+  void contacts(const std::vector<dht::Contact>& list) {
+    u32(static_cast<std::uint32_t>(list.size()));
+    for (const auto& contact : list) peer_ref(*contact.peer());
   }
   void message_id(const pubsub::MessageId& id) {
     u32(id.origin);
@@ -193,9 +197,20 @@ class Reader {
     record.received_at = i64();
     return record;
   }
-  void requester(dht::LookupRequestBase& base) {
-    base.requester = peer_ref();
-    base.requester_is_server = boolean();
+  // A decoded contact's key is derived here from the decoded id; keys
+  // never come off the wire.
+  dht::Contact contact() { return dht::Contact::of(peer_ref()); }
+  void contacts(std::vector<dht::Contact>& out) {
+    const std::uint32_t n = count(9);
+    for (std::uint32_t i = 0; i < n && !fail_; ++i) out.push_back(contact());
+  }
+  // A lookup request, built from its requester header.
+  template <typename Request>
+  std::shared_ptr<Request> lookup_request() {
+    dht::Contact requester = contact();
+    const bool requester_is_server = boolean();
+    return std::make_shared<Request>(std::move(requester),
+                                     requester_is_server);
   }
   pubsub::MessageId message_id() {
     pubsub::MessageId id;
@@ -330,8 +345,7 @@ std::optional<std::vector<std::uint8_t>> encode_message(
     }
     case Tag::kFindNodeResponse: {
       const auto& m = static_cast<const dht::FindNodeResponse&>(message);
-      w.u32(static_cast<std::uint32_t>(m.closer.size()));
-      for (const auto& ref : m.closer) w.peer_ref(ref);
+      w.contacts(m.closer);
       break;
     }
     case Tag::kGetProvidersRequest: {
@@ -344,8 +358,7 @@ std::optional<std::vector<std::uint8_t>> encode_message(
       const auto& m = static_cast<const dht::GetProvidersResponse&>(message);
       w.u32(static_cast<std::uint32_t>(m.providers.size()));
       for (const auto& record : m.providers) w.provider_record(record);
-      w.u32(static_cast<std::uint32_t>(m.closer.size()));
-      for (const auto& ref : m.closer) w.peer_ref(ref);
+      w.contacts(m.closer);
       break;
     }
     case Tag::kAddProviderRequest: {
@@ -370,16 +383,14 @@ std::optional<std::vector<std::uint8_t>> encode_message(
       const auto& m = static_cast<const dht::GetValueResponse&>(message);
       w.boolean(m.record.has_value());
       if (m.record) w.value_record(*m.record);
-      w.u32(static_cast<std::uint32_t>(m.closer.size()));
-      for (const auto& ref : m.closer) w.peer_ref(ref);
+      w.contacts(m.closer);
       break;
     }
     case Tag::kListBucketsRequest:
       break;
     case Tag::kListBucketsResponse: {
       const auto& m = static_cast<const dht::ListBucketsResponse&>(message);
-      w.u32(static_cast<std::uint32_t>(m.peers.size()));
-      for (const auto& ref : m.peers) w.peer_ref(ref);
+      w.contacts(m.peers);
       break;
     }
     case Tag::kDialBackRequest:
@@ -448,35 +459,29 @@ sim::MessagePtr decode_message(std::span<const std::uint8_t> bytes) {
   sim::MessagePtr out;
   switch (tag) {
     case Tag::kFindNodeRequest: {
-      auto m = std::make_shared<dht::FindNodeRequest>();
-      r.requester(*m);
+      auto m = r.lookup_request<dht::FindNodeRequest>();
       m->target = r.key();
       out = std::move(m);
       break;
     }
     case Tag::kFindNodeResponse: {
       auto m = std::make_shared<dht::FindNodeResponse>();
-      const std::uint32_t n = r.count(9);
-      for (std::uint32_t i = 0; i < n && !r.fail(); ++i)
-        m->closer.push_back(r.peer_ref());
+      r.contacts(m->closer);
       out = std::move(m);
       break;
     }
     case Tag::kGetProvidersRequest: {
-      auto m = std::make_shared<dht::GetProvidersRequest>();
-      r.requester(*m);
+      auto m = r.lookup_request<dht::GetProvidersRequest>();
       m->key = r.key();
       out = std::move(m);
       break;
     }
     case Tag::kGetProvidersResponse: {
       auto m = std::make_shared<dht::GetProvidersResponse>();
-      std::uint32_t n = r.count(17);
+      const std::uint32_t n = r.count(17);
       for (std::uint32_t i = 0; i < n && !r.fail(); ++i)
         m->providers.push_back(r.provider_record());
-      n = r.count(9);
-      for (std::uint32_t i = 0; i < n && !r.fail(); ++i)
-        m->closer.push_back(r.peer_ref());
+      r.contacts(m->closer);
       out = std::move(m);
       break;
     }
@@ -495,8 +500,7 @@ sim::MessagePtr decode_message(std::span<const std::uint8_t> bytes) {
       break;
     }
     case Tag::kGetValueRequest: {
-      auto m = std::make_shared<dht::GetValueRequest>();
-      r.requester(*m);
+      auto m = r.lookup_request<dht::GetValueRequest>();
       m->key = r.key();
       out = std::move(m);
       break;
@@ -504,9 +508,7 @@ sim::MessagePtr decode_message(std::span<const std::uint8_t> bytes) {
     case Tag::kGetValueResponse: {
       auto m = std::make_shared<dht::GetValueResponse>();
       if (r.boolean()) m->record = r.value_record();
-      const std::uint32_t n = r.count(9);
-      for (std::uint32_t i = 0; i < n && !r.fail(); ++i)
-        m->closer.push_back(r.peer_ref());
+      r.contacts(m->closer);
       out = std::move(m);
       break;
     }
@@ -515,9 +517,7 @@ sim::MessagePtr decode_message(std::span<const std::uint8_t> bytes) {
       break;
     case Tag::kListBucketsResponse: {
       auto m = std::make_shared<dht::ListBucketsResponse>();
-      const std::uint32_t n = r.count(9);
-      for (std::uint32_t i = 0; i < n && !r.fail(); ++i)
-        m->peers.push_back(r.peer_ref());
+      r.contacts(m->peers);
       out = std::move(m);
       break;
     }

@@ -161,15 +161,15 @@ void World::seed_routing_tables() {
   // as a long-running network's tables would look. Offline and NAT'ed
   // peers are seeded too — the table staleness real lookups contend with.
 
-  // Every node's (key, self contact), sorted by key: a pick copies its
-  // entry straight out of this array.
-  using Entry = dht::RoutingTable::Entry;
-  std::vector<Entry> sorted;
+  // Every node's self contact, sorted by key: a pick copies its handle
+  // straight out of this array.
+  std::vector<dht::Contact> sorted;
   sorted.reserve(dht_nodes_.size());
-  for (const auto& node : dht_nodes_)
-    sorted.push_back({node->routing_table().local_key(), node->self_handle()});
+  for (const auto& node : dht_nodes_) sorted.push_back(node->self_contact());
   std::sort(sorted.begin(), sorted.end(),
-            [](const Entry& a, const Entry& b) { return a.key < b.key; });
+            [](const dht::Contact& a, const dht::Contact& b) {
+              return a.key() < b.key();
+            });
 
   // Per-node scratch, reused across nodes.
   using Range = std::pair<std::size_t, std::size_t>;
@@ -203,9 +203,10 @@ void World::seed_routing_tables() {
       };
       const auto [lo, hi] = levels.back();
       const std::size_t mid =
-          std::partition_point(
-              sorted.begin() + lo, sorted.begin() + hi,
-              [&](const Entry& e) { return !bit_of(e.key.bytes()); }) -
+          std::partition_point(sorted.begin() + lo, sorted.begin() + hi,
+                               [&](const dht::Contact& c) {
+                                 return !bit_of(c.key().bytes());
+                               }) -
           sorted.begin();
       const Range range = bit_of(key) ? Range{mid, hi} : Range{lo, mid};
       levels.push_back(range);
@@ -272,7 +273,7 @@ void World::seed_routing_tables() {
       }
     }
 
-    std::vector<Entry> entries;
+    std::vector<dht::Contact> entries;
     std::size_t planned = 0;
     for (const std::size_t take : alloc) planned += take;
     entries.reserve(planned);

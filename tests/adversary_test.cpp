@@ -43,9 +43,11 @@ std::map<int, std::size_t> adversarial_occupancy(const AttackPlan& plan,
                                                  const dht::Key& self_key,
                                                  dht::RoutingTable& table) {
   std::map<int, std::size_t> per_bucket;
-  for (const auto& peer : table.all_peers())
+  for (const auto& contact : table.contacts()) {
+    const dht::PeerRef& peer = *contact.peer();
     if (plan.is_adversarial_id(peer.id))
       ++per_bucket[self_key.common_prefix_len(dht::Key::for_peer(peer.id))];
+  }
   return per_bucket;
 }
 
@@ -108,9 +110,10 @@ TEST(SybilTest, MinedIdsLandInTheTargetBucket) {
     const auto& refs = s.attack()->sybil_refs(v);
     ASSERT_EQ(refs.size(), sybil.per_victim);
     for (const auto& ref : refs) {
-      EXPECT_EQ(victim_key.common_prefix_len(dht::Key::for_peer(ref.id)),
-                sybil.target_cpl);
-      EXPECT_TRUE(s.attack()->is_adversarial_id(ref.id));
+      EXPECT_EQ(
+          victim_key.common_prefix_len(dht::Key::for_peer(ref.peer()->id)),
+          sybil.target_cpl);
+      EXPECT_TRUE(s.attack()->is_adversarial_id(ref.peer()->id));
     }
   }
   s.attack()->disarm();
@@ -191,10 +194,10 @@ TEST(EclipseTest, AttackersOccupyTheTargetNeighborhood) {
   ASSERT_EQ(refs.size(), eclipse.attackers);
   // Every mined attacker out-distances every honest peer for the target.
   for (const auto& ref : refs) {
-    EXPECT_GE(target.common_prefix_len(dht::Key::for_peer(ref.id)),
+    EXPECT_GE(target.common_prefix_len(dht::Key::for_peer(ref.peer()->id)),
               eclipse.min_cpl);
     for (std::size_t i = 0; i < s.size(); ++i)
-      EXPECT_TRUE(dht::Key::for_peer(ref.id).closer_to(
+      EXPECT_TRUE(dht::Key::for_peer(ref.peer()->id).closer_to(
           target, dht::Key::for_peer(s.ref(i).id)));
   }
   EXPECT_FALSE(s.network().config(s.attack()->ghost_provider().node).dialable);
@@ -630,14 +633,14 @@ TEST(AttackPlanTest, SameSeedMintsIdenticalIdentitiesAndCounters) {
   ASSERT_EQ(first.attack()->eclipse_refs().size(),
             second.attack()->eclipse_refs().size());
   for (std::size_t i = 0; i < first.attack()->eclipse_refs().size(); ++i)
-    EXPECT_EQ(first.attack()->eclipse_refs()[i].id,
-              second.attack()->eclipse_refs()[i].id);
+    EXPECT_EQ(first.attack()->eclipse_refs()[i].peer()->id,
+              second.attack()->eclipse_refs()[i].peer()->id);
   for (std::size_t v = 0; v < first.attack()->victim_count(); ++v) {
     const auto& lhs = first.attack()->sybil_refs(v);
     const auto& rhs = second.attack()->sybil_refs(v);
     ASSERT_EQ(lhs.size(), rhs.size());
     for (std::size_t i = 0; i < lhs.size(); ++i)
-      EXPECT_EQ(lhs[i].id, rhs[i].id);
+      EXPECT_EQ(lhs[i].peer()->id, rhs[i].peer()->id);
   }
   EXPECT_EQ(first.attack()->counters().flood_requests_sent,
             second.attack()->counters().flood_requests_sent);

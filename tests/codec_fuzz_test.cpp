@@ -63,10 +63,24 @@ class Fuzz {
     return ref;
   }
 
-  std::vector<dht::PeerRef> peer_refs(std::size_t max) {
-    std::vector<dht::PeerRef> out(index(max + 1));
-    for (auto& ref : out) ref = peer_ref();
+  dht::Contact contact() { return dht::Contact::of(peer_ref()); }
+
+  std::vector<dht::Contact> contacts(std::size_t max) {
+    const std::size_t n = index(max + 1);
+    std::vector<dht::Contact> out;
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) out.push_back(contact());
     return out;
+  }
+
+  // A lookup request with a random requester header. The draws happen in
+  // wire order: requester, server flag.
+  template <typename Request>
+  std::shared_ptr<Request> lookup_request() {
+    dht::Contact requester = contact();
+    const bool requester_is_server = boolean();
+    return std::make_shared<Request>(std::move(requester),
+                                     requester_is_server);
   }
 
   dht::ProviderRecord provider_record() {
@@ -96,21 +110,17 @@ class Fuzz {
 sim::MessagePtr make_message(Fuzz& fuzz, std::size_t pick) {
   switch (pick % 20) {
     case 0: {
-      auto m = std::make_shared<dht::FindNodeRequest>();
-      m->requester = fuzz.peer_ref();
-      m->requester_is_server = fuzz.boolean();
+      auto m = fuzz.lookup_request<dht::FindNodeRequest>();
       m->target = fuzz.key();
       return m;
     }
     case 1: {
       auto m = std::make_shared<dht::FindNodeResponse>();
-      m->closer = fuzz.peer_refs(20);
+      m->closer = fuzz.contacts(20);
       return m;
     }
     case 2: {
-      auto m = std::make_shared<dht::GetProvidersRequest>();
-      m->requester = fuzz.peer_ref();
-      m->requester_is_server = fuzz.boolean();
+      auto m = fuzz.lookup_request<dht::GetProvidersRequest>();
       m->key = fuzz.key();
       return m;
     }
@@ -120,7 +130,7 @@ sim::MessagePtr make_message(Fuzz& fuzz, std::size_t pick) {
       for (std::size_t i = 0; i < providers; ++i) {
         m->providers.push_back(fuzz.provider_record());
       }
-      m->closer = fuzz.peer_refs(20);
+      m->closer = fuzz.contacts(20);
       return m;
     }
     case 4: {
@@ -136,23 +146,21 @@ sim::MessagePtr make_message(Fuzz& fuzz, std::size_t pick) {
       return m;
     }
     case 6: {
-      auto m = std::make_shared<dht::GetValueRequest>();
-      m->requester = fuzz.peer_ref();
-      m->requester_is_server = fuzz.boolean();
+      auto m = fuzz.lookup_request<dht::GetValueRequest>();
       m->key = fuzz.key();
       return m;
     }
     case 7: {
       auto m = std::make_shared<dht::GetValueResponse>();
       if (fuzz.boolean()) m->record = fuzz.value_record();
-      m->closer = fuzz.peer_refs(20);
+      m->closer = fuzz.contacts(20);
       return m;
     }
     case 8:
       return std::make_shared<dht::ListBucketsRequest>();
     case 9: {
       auto m = std::make_shared<dht::ListBucketsResponse>();
-      m->peers = fuzz.peer_refs(40);
+      m->peers = fuzz.contacts(40);
       return m;
     }
     case 10:
@@ -283,9 +291,8 @@ TEST(CodecFuzzTest, RoundTripIsByteIdentity) {
 // for a codec that scrambled fields symmetrically).
 TEST(CodecFuzzTest, DecodedFieldsMatch) {
   Fuzz fuzz(7);
-  auto request = std::make_shared<dht::GetProvidersRequest>();
-  request->requester = fuzz.peer_ref();
-  request->requester_is_server = true;
+  auto request = std::make_shared<dht::GetProvidersRequest>(
+      fuzz.contact(), /*requester_is_server=*/true);
   request->key = fuzz.key();
   const auto encoded = encode_message(*request);
   ASSERT_TRUE(encoded.has_value());
@@ -294,10 +301,11 @@ TEST(CodecFuzzTest, DecodedFieldsMatch) {
   ASSERT_NE(decoded, nullptr);
   EXPECT_EQ(decoded->key.bytes(), request->key.bytes());
   EXPECT_TRUE(decoded->requester_is_server);
-  EXPECT_EQ(decoded->requester.id, request->requester.id);
-  EXPECT_EQ(decoded->requester.node, request->requester.node);
-  EXPECT_EQ(decoded->requester.addresses.size(),
-            request->requester.addresses.size());
+  EXPECT_EQ(decoded->requester.peer()->id, request->requester.peer()->id);
+  EXPECT_EQ(decoded->requester.peer()->node,
+            request->requester.peer()->node);
+  EXPECT_EQ(decoded->requester.peer()->addresses.size(),
+            request->requester.peer()->addresses.size());
 
   auto response = std::make_shared<bitswap::BlockResponse>();
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
@@ -318,6 +326,69 @@ TEST(CodecFuzzTest, DecodedFieldsMatch) {
 }
 
 // A message type the codec does not know is reported, not mis-encoded.
+// Every contact a decode produces carries the key derived from its
+// decoded id, and the PeerRef behind it matches the one sent: the four
+// contact-list answers and a lookup request's requester.
+void expect_contacts_match(const std::vector<dht::Contact>& sent,
+                           const std::vector<dht::Contact>& decoded) {
+  ASSERT_EQ(decoded.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    const dht::PeerRef& peer = *decoded[i].peer();
+    EXPECT_EQ(decoded[i].key(), dht::Key::for_peer(peer.id));
+    EXPECT_EQ(decoded[i].key(), sent[i].key());
+    EXPECT_EQ(peer.id, sent[i].peer()->id);
+    EXPECT_EQ(peer.node, sent[i].peer()->node);
+    EXPECT_EQ(peer.addresses, sent[i].peer()->addresses);
+  }
+}
+
+template <typename Message>
+std::shared_ptr<const Message> round_trip(const Message& message) {
+  const auto encoded = encode_message(message);
+  EXPECT_TRUE(encoded.has_value());
+  if (!encoded) return nullptr;
+  return std::dynamic_pointer_cast<const Message>(decode_message(*encoded));
+}
+
+TEST(CodecFuzzTest, DecodedContactsCarryDerivedKeys) {
+  Fuzz fuzz(23);
+  for (int round = 0; round < 20; ++round) {
+    auto find_node = std::make_shared<dht::FindNodeResponse>();
+    find_node->closer = fuzz.contacts(20);
+    const auto find_node_back = round_trip(*find_node);
+    ASSERT_NE(find_node_back, nullptr);
+    expect_contacts_match(find_node->closer, find_node_back->closer);
+
+    auto providers = std::make_shared<dht::GetProvidersResponse>();
+    providers->providers.push_back(fuzz.provider_record());
+    providers->closer = fuzz.contacts(20);
+    const auto providers_back = round_trip(*providers);
+    ASSERT_NE(providers_back, nullptr);
+    expect_contacts_match(providers->closer, providers_back->closer);
+
+    auto value = std::make_shared<dht::GetValueResponse>();
+    value->record = fuzz.value_record();
+    value->closer = fuzz.contacts(20);
+    const auto value_back = round_trip(*value);
+    ASSERT_NE(value_back, nullptr);
+    expect_contacts_match(value->closer, value_back->closer);
+
+    auto buckets = std::make_shared<dht::ListBucketsResponse>();
+    buckets->peers = fuzz.contacts(40);
+    const auto buckets_back = round_trip(*buckets);
+    ASSERT_NE(buckets_back, nullptr);
+    expect_contacts_match(buckets->peers, buckets_back->peers);
+
+    auto request = fuzz.lookup_request<dht::FindNodeRequest>();
+    request->target = fuzz.key();
+    const auto request_back = round_trip(*request);
+    ASSERT_NE(request_back, nullptr);
+    expect_contacts_match({request->requester}, {request_back->requester});
+    EXPECT_EQ(request_back->requester_is_server,
+              request->requester_is_server);
+  }
+}
+
 TEST(CodecFuzzTest, UnknownTypeIsRejected) {
   struct LocalMessage : sim::Message {};
   EXPECT_FALSE(encode_message(LocalMessage{}).has_value());

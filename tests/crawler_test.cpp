@@ -62,6 +62,44 @@ TEST(CrawlerTest, ReportsDialableAndUndialableSplit) {
   EXPECT_GT(dialable_share, 0.3);
 }
 
+// FNV-1a over the observation sequence of a small seeded crawl: each
+// observation's node, reached flag, both durations and IP strings, in
+// the order the crawler recorded them. Pins the frontier order, the
+// dedup and what each observation copies out of the crawled contacts.
+std::uint64_t crawl_digest(const CrawlResult& result) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint8_t byte) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  };
+  const auto mix64 = [&mix](std::uint64_t value) {
+    for (int shift = 0; shift < 64; shift += 8)
+      mix(static_cast<std::uint8_t>(value >> shift));
+  };
+  for (const auto& obs : result.observations) {
+    mix64(obs.peer.node);
+    mix(obs.reached ? 1 : 0);
+    mix64(static_cast<std::uint64_t>(obs.connect_duration));
+    mix64(static_cast<std::uint64_t>(obs.crawl_duration));
+    for (const auto& ip : obs.ip_addresses) {
+      for (const char c : ip) mix(static_cast<std::uint8_t>(c));
+      mix(0);
+    }
+  }
+  return hash;
+}
+
+TEST(CrawlerTest, CrawlResultIsUnchanged) {
+  world::World world(crawl_config(500, 29));
+  const auto self = add_crawler_node(world);
+  Crawler crawler(world.network(), self, world.bootstrap_refs());
+  CrawlResult result;
+  crawler.crawl([&](CrawlResult r) { result = std::move(r); });
+  world.simulator().run();
+  EXPECT_GT(result.total(), 400u);
+  EXPECT_EQ(crawl_digest(result), 0x92f571328ec0d924ULL);
+}
+
 TEST(CrawlerTest, ExtractsIpsFromMultiaddrs) {
   dht::PeerRef peer;
   peer.addresses.push_back(multiformats::make_tcp_multiaddr("1.2.3.4", 4001));

@@ -2,6 +2,8 @@
 // publication/retrieval walks, AutoNAT and record lifecycle.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "dht/dht_node.h"
 #include "dht/key.h"
 #include "dht/record_store.h"
@@ -70,17 +72,45 @@ TEST(KeyTest, CommonPrefixLenMatchesDistance) {
 }
 
 // --------------------------------------------------------------------------
-// RoutingTable
+// Contact
 // --------------------------------------------------------------------------
+
+// A Contact is only made by its factories, which derive the key from the
+// id: no default state, no aggregate init, no (key, handle) pair.
+static_assert(!std::is_default_constructible_v<Contact>);
+static_assert(!std::is_aggregate_v<Contact>);
+static_assert(
+    !std::is_constructible_v<Contact, Key, std::shared_ptr<const PeerRef>>);
+static_assert(!std::is_constructible_v<Contact, Key, PeerRef>);
 
 PeerRef make_ref(std::uint64_t n) {
   return PeerRef{synthetic_peer_id(n), static_cast<sim::NodeId>(n),
                  {synthetic_address(static_cast<std::uint32_t>(n))}};
 }
 
+Contact make_contact(std::uint64_t n) { return Contact::of(make_ref(n)); }
+
+TEST(ContactTest, FactoriesDeriveTheKeyAndCopiesShareTheHandle) {
+  const Contact from_value = make_contact(5);
+  EXPECT_EQ(from_value.key(), Key::for_peer(synthetic_peer_id(5)));
+
+  const auto handle = std::make_shared<const PeerRef>(make_ref(6));
+  const Contact from_handle = Contact::of(handle);
+  EXPECT_EQ(from_handle.key(), Key::for_peer(synthetic_peer_id(6)));
+  EXPECT_EQ(from_handle.peer().get(), handle.get());
+
+  const Contact copy = from_handle;
+  EXPECT_EQ(copy.peer().get(), handle.get());
+  EXPECT_EQ(copy.key(), from_handle.key());
+}
+
+// --------------------------------------------------------------------------
+// RoutingTable
+// --------------------------------------------------------------------------
+
 TEST(RoutingTableTest, InsertAndContains) {
   RoutingTable table(Key::for_peer(synthetic_peer_id(0)));
-  EXPECT_TRUE(table.upsert(make_ref(1)));
+  EXPECT_TRUE(table.upsert(make_contact(1)));
   EXPECT_TRUE(table.contains(synthetic_peer_id(1)));
   EXPECT_FALSE(table.contains(synthetic_peer_id(2)));
   EXPECT_EQ(table.size(), 1u);
@@ -88,27 +118,27 @@ TEST(RoutingTableTest, InsertAndContains) {
 
 TEST(RoutingTableTest, RejectsSelf) {
   RoutingTable table(Key::for_peer(synthetic_peer_id(0)));
-  EXPECT_FALSE(table.upsert(make_ref(0)));
+  EXPECT_FALSE(table.upsert(make_contact(0)));
   EXPECT_EQ(table.size(), 0u);
 }
 
 TEST(RoutingTableTest, UpsertRefreshesExistingEntry) {
   RoutingTable table(Key::for_peer(synthetic_peer_id(0)));
   PeerRef ref = make_ref(1);
-  table.upsert(ref);
+  table.upsert(Contact::of(ref));
   ref.node = 99;  // address change
-  EXPECT_TRUE(table.upsert(ref));
+  EXPECT_TRUE(table.upsert(Contact::of(ref)));
   EXPECT_EQ(table.size(), 1u);
-  const auto peers = table.all_peers();
-  ASSERT_EQ(peers.size(), 1u);
-  EXPECT_EQ(peers[0].node, 99u);
+  const auto contacts = table.contacts();
+  ASSERT_EQ(contacts.size(), 1u);
+  EXPECT_EQ(contacts[0].peer()->node, 99u);
 }
 
 TEST(RoutingTableTest, BucketsCapAtK) {
   RoutingTable table(Key::for_peer(synthetic_peer_id(0)));
   // Insert far more peers than one bucket holds; most land in the
   // shallow buckets (cpl 0,1,2...), which must each cap at 20.
-  for (std::uint64_t i = 1; i <= 2000; ++i) table.upsert(make_ref(i));
+  for (std::uint64_t i = 1; i <= 2000; ++i) table.upsert(make_contact(i));
   for (std::size_t b = 0; b < kBucketCount; ++b)
     EXPECT_LE(table.bucket_size(b), kBucketSize);
   EXPECT_LT(table.size(), 2000u);
@@ -117,28 +147,28 @@ TEST(RoutingTableTest, BucketsCapAtK) {
 
 TEST(RoutingTableTest, ClosestReturnsSortedByDistance) {
   RoutingTable table(Key::for_peer(synthetic_peer_id(0)));
-  for (std::uint64_t i = 1; i <= 200; ++i) table.upsert(make_ref(i));
+  for (std::uint64_t i = 1; i <= 200; ++i) table.upsert(make_contact(i));
   const Key target = Key::for_peer(synthetic_peer_id(12345));
   const auto closest = table.closest(target, 20);
   ASSERT_EQ(closest.size(), 20u);
   for (std::size_t i = 1; i < closest.size(); ++i) {
-    const Key prev = Key::for_peer(closest[i - 1].id);
-    const Key cur = Key::for_peer(closest[i].id);
+    const Key prev = Key::for_peer(closest[i - 1].peer()->id);
+    const Key cur = Key::for_peer(closest[i].peer()->id);
     EXPECT_TRUE(prev.distance_to(target) <= cur.distance_to(target));
   }
   // The first result must be the global argmin over the table.
-  const Key best = Key::for_peer(closest[0].id);
-  for (const auto& peer : table.all_peers()) {
-    const Key key = Key::for_peer(peer.id);
+  const Key best = Key::for_peer(closest[0].peer()->id);
+  for (const auto& contact : table.contacts()) {
+    const Key key = Key::for_peer(contact.peer()->id);
     EXPECT_TRUE(best.distance_to(target) <= key.distance_to(target));
   }
 }
 
 TEST(RoutingTableTest, RemoveEvictsPeer) {
   RoutingTable table(Key::for_peer(synthetic_peer_id(0)));
-  table.upsert(make_ref(1));
-  table.upsert(make_ref(2));
-  table.remove(synthetic_peer_id(1));
+  table.upsert(make_contact(1));
+  table.upsert(make_contact(2));
+  table.remove(make_contact(1));
   EXPECT_FALSE(table.contains(synthetic_peer_id(1)));
   EXPECT_TRUE(table.contains(synthetic_peer_id(2)));
   EXPECT_EQ(table.size(), 1u);
@@ -146,26 +176,27 @@ TEST(RoutingTableTest, RemoveEvictsPeer) {
 
 TEST(RoutingTableTest, RefreshSharesUnchangedContactsAndReplacesMovedOnes) {
   RoutingTable table(Key::for_peer(synthetic_peer_id(0)));
-  for (std::uint64_t i = 1; i <= 60; ++i) table.upsert(make_ref(i));
-  const auto before = table.entries();
+  for (std::uint64_t i = 1; i <= 60; ++i) table.upsert(make_contact(i));
+  const auto before = table.contacts();
 
   // Re-upserting every peer in insertion order rotates each to its
   // bucket's tail in turn: the same order, and the same shared contacts.
-  for (std::uint64_t i = 1; i <= 60; ++i) table.upsert(make_ref(i));
-  const auto after = table.entries();
+  for (std::uint64_t i = 1; i <= 60; ++i) table.upsert(make_contact(i));
+  const auto after = table.contacts();
   ASSERT_EQ(after.size(), before.size());
   for (std::size_t i = 0; i < after.size(); ++i) {
-    EXPECT_EQ(after[i].key, before[i].key);
-    EXPECT_EQ(after[i].peer.get(), before[i].peer.get());
+    EXPECT_EQ(after[i].key(), before[i].key());
+    EXPECT_EQ(after[i].peer().get(), before[i].peer().get());
   }
 
   // Same id and node, new address list: operator== alone would miss it.
   PeerRef moved = make_ref(7);
   moved.addresses = {synthetic_address(4000)};
-  EXPECT_TRUE(table.upsert(moved));
+  EXPECT_TRUE(table.upsert(Contact::of(moved)));
   EXPECT_EQ(table.size(), before.size());
   bool found = false;
-  for (const auto& peer : table.all_peers()) {
+  for (const auto& contact : table.contacts()) {
+    const PeerRef& peer = *contact.peer();
     if (peer.id != moved.id) continue;
     found = true;
     EXPECT_EQ(peer.addresses, moved.addresses);
@@ -180,26 +211,25 @@ RoutingTable expect_bulk_load_matches_upserts(
     const std::vector<PeerRef>& peers, std::size_t cap) {
   const Key local = Key::for_peer(synthetic_peer_id(0));
   RoutingTable sequential(local, cap);
-  std::vector<RoutingTable::Entry> entries;
+  std::vector<Contact> contacts;
   for (const auto& peer : peers) {
-    sequential.upsert(peer);
-    entries.push_back({Key::for_peer(peer.id),
-                       std::make_shared<const PeerRef>(peer)});
+    sequential.upsert(Contact::of(peer));
+    contacts.push_back(Contact::of(peer));
   }
   RoutingTable bulk(local, cap);
-  bulk.bulk_load(std::move(entries));
+  bulk.bulk_load(std::move(contacts));
 
   EXPECT_EQ(bulk.size(), sequential.size());
   EXPECT_EQ(bulk.diversity_rejections(), sequential.diversity_rejections());
   for (std::size_t b = 0; b < kBucketCount; ++b)
     EXPECT_EQ(bulk.bucket_size(b), sequential.bucket_size(b)) << b;
-  const auto lhs = bulk.all_peers();
-  const auto rhs = sequential.all_peers();
+  const auto lhs = bulk.contacts();
+  const auto rhs = sequential.contacts();
   EXPECT_EQ(lhs.size(), rhs.size());
   for (std::size_t i = 0; i < std::min(lhs.size(), rhs.size()); ++i) {
-    EXPECT_EQ(lhs[i].id, rhs[i].id);
-    EXPECT_EQ(lhs[i].node, rhs[i].node);
-    EXPECT_EQ(lhs[i].addresses, rhs[i].addresses);
+    EXPECT_EQ(lhs[i].peer()->id, rhs[i].peer()->id);
+    EXPECT_EQ(lhs[i].peer()->node, rhs[i].peer()->node);
+    EXPECT_EQ(lhs[i].peer()->addresses, rhs[i].peer()->addresses);
   }
   return sequential;
 }
@@ -249,23 +279,25 @@ TEST(RoutingTableTest, DiversityCapZeroMatchesUncappedTable) {
   RoutingTable uncapped(Key::for_peer(synthetic_peer_id(0)));
   RoutingTable capped(Key::for_peer(synthetic_peer_id(0)), 0);
   for (std::uint64_t i = 1; i <= 500; ++i) {
-    EXPECT_EQ(uncapped.upsert(make_ref(i)), capped.upsert(make_ref(i)));
+    EXPECT_EQ(uncapped.upsert(make_contact(i)),
+              capped.upsert(make_contact(i)));
   }
   EXPECT_EQ(capped.size(), uncapped.size());
   EXPECT_EQ(capped.diversity_rejections(), 0u);
-  const auto lhs = uncapped.all_peers();
-  const auto rhs = capped.all_peers();
+  const auto lhs = uncapped.contacts();
+  const auto rhs = capped.contacts();
   ASSERT_EQ(lhs.size(), rhs.size());
-  for (std::size_t i = 0; i < lhs.size(); ++i) EXPECT_EQ(lhs[i].id, rhs[i].id);
+  for (std::size_t i = 0; i < lhs.size(); ++i)
+    EXPECT_EQ(lhs[i].peer()->id, rhs[i].peer()->id);
 }
 
 TEST(RoutingTableTest, DiversityCapRejectsSamePrefixOverflow) {
   const auto peers = same_bucket_indices(0, 1, 256, 3);
   ASSERT_EQ(peers.size(), 3u);  // all in 10.0/16, all in bucket cpl=0
   RoutingTable table(Key::for_peer(synthetic_peer_id(0)), 2);
-  EXPECT_TRUE(table.upsert(make_ref(peers[0])));
-  EXPECT_TRUE(table.upsert(make_ref(peers[1])));
-  EXPECT_FALSE(table.upsert(make_ref(peers[2])));  // third same-/16 entry
+  EXPECT_TRUE(table.upsert(make_contact(peers[0])));
+  EXPECT_TRUE(table.upsert(make_contact(peers[1])));
+  EXPECT_FALSE(table.upsert(make_contact(peers[2])));  // third same-/16 entry
   EXPECT_FALSE(table.contains(synthetic_peer_id(peers[2])));
   EXPECT_EQ(table.size(), 2u);
   EXPECT_EQ(table.diversity_rejections(), 1u);
@@ -276,25 +308,25 @@ TEST(RoutingTableTest, RefreshOfExistingEntryBypassesTheCap) {
   ASSERT_EQ(peers.size(), 1u);
   RoutingTable table(Key::for_peer(synthetic_peer_id(0)), 1);
   PeerRef ref = make_ref(peers[0]);
-  EXPECT_TRUE(table.upsert(ref));
+  EXPECT_TRUE(table.upsert(Contact::of(ref)));
   // The peer saturates its own class; refreshing it is not an insert and
   // must neither fail nor count as a rejection.
   ref.node = 77;
-  EXPECT_TRUE(table.upsert(ref));
+  EXPECT_TRUE(table.upsert(Contact::of(ref)));
   EXPECT_EQ(table.size(), 1u);
   EXPECT_EQ(table.diversity_rejections(), 0u);
-  EXPECT_EQ(table.all_peers()[0].node, 77u);
+  EXPECT_EQ(table.contacts()[0].peer()->node, 77u);
 }
 
 TEST(RoutingTableTest, RemoveFreesTheDiversitySlot) {
   const auto peers = same_bucket_indices(0, 1, 256, 2);
   ASSERT_EQ(peers.size(), 2u);
   RoutingTable table(Key::for_peer(synthetic_peer_id(0)), 1);
-  EXPECT_TRUE(table.upsert(make_ref(peers[0])));
-  EXPECT_FALSE(table.upsert(make_ref(peers[1])));
-  table.remove(synthetic_peer_id(peers[0]));
+  EXPECT_TRUE(table.upsert(make_contact(peers[0])));
+  EXPECT_FALSE(table.upsert(make_contact(peers[1])));
+  table.remove(make_contact(peers[0]));
   // The class slot is free again: the previously rejected peer enters.
-  EXPECT_TRUE(table.upsert(make_ref(peers[1])));
+  EXPECT_TRUE(table.upsert(make_contact(peers[1])));
   EXPECT_TRUE(table.contains(synthetic_peer_id(peers[1])));
 }
 
@@ -306,8 +338,8 @@ TEST(RoutingTableTest, DistinctPrefixesDoNotShareTheCap) {
   ASSERT_EQ(first.size(), 1u);
   ASSERT_EQ(second.size(), 1u);
   RoutingTable table(Key::for_peer(synthetic_peer_id(0)), 1);
-  EXPECT_TRUE(table.upsert(make_ref(first[0])));
-  EXPECT_TRUE(table.upsert(make_ref(second[0])));
+  EXPECT_TRUE(table.upsert(make_contact(first[0])));
+  EXPECT_TRUE(table.upsert(make_contact(second[0])));
   EXPECT_EQ(table.size(), 2u);
   EXPECT_EQ(table.diversity_rejections(), 0u);
 }
@@ -319,7 +351,8 @@ TEST(RoutingTableTest, AddressLessPeersAreExemptFromTheCap) {
   for (const auto n : peers) {
     PeerRef bare{synthetic_peer_id(n), static_cast<sim::NodeId>(n), {}};
     EXPECT_FALSE(RoutingTable::diversity_class(bare).has_value());
-    EXPECT_TRUE(table.upsert(bare));  // unclassifiable: cap cannot apply
+    // Unclassifiable: the cap cannot apply.
+    EXPECT_TRUE(table.upsert(Contact::of(bare)));
   }
   EXPECT_EQ(table.size(), peers.size());
   EXPECT_EQ(table.diversity_rejections(), 0u);
@@ -468,15 +501,16 @@ TEST(DhtSwarmTest, DuplicateProviderRecordsAreDroppedByPeerId) {
       });
 
   transport::SimTransport requester_transport(net, requester);
-  LookupHost host;
-  host.transport = &requester_transport;
-  host.self_ref = PeerRef{synthetic_peer_id(999), requester,
-                          {synthetic_address(999)}};
+  const LookupHost host(
+      &requester_transport,
+      Contact::of(PeerRef{synthetic_peer_id(999), requester,
+                          {synthetic_address(999)}}));
   LookupResult result;
   const Key key = Key::hash_of(std::vector<std::uint8_t>{7, 7, 7});
   auto lookup = Lookup::start(
       host, LookupType::kGetProviders, key,
-      {PeerRef{synthetic_peer_id(1), server, {synthetic_address(1)}}},
+      {Contact::of(PeerRef{synthetic_peer_id(1), server,
+                           {synthetic_address(1)}})},
       [&](LookupResult r) { result = std::move(r); });
   sim.run();
 
@@ -557,7 +591,7 @@ TEST(DhtSwarmTest, FailedPeersAreEvictedFromRoutingTable) {
   TestSwarm swarm(30);
   // Node 0 knows node 1; node 1 goes offline; a lookup through node 1
   // must evict it.
-  swarm.node(0).routing_table().upsert(swarm.ref(1));
+  swarm.node(0).routing_table().upsert(swarm.node(1).self_contact());
   ASSERT_TRUE(swarm.node(0).routing_table().contains(swarm.ref(1).id));
   swarm.network().set_online(1, false);
 
@@ -565,6 +599,73 @@ TEST(DhtSwarmTest, FailedPeersAreEvictedFromRoutingTable) {
   swarm.node(0).lookup_closest(key, [](LookupResult) {});
   swarm.simulator().run();
   EXPECT_FALSE(swarm.node(0).routing_table().contains(swarm.ref(1).id));
+}
+
+TEST(DhtSwarmTest, WalkSharesTheContactsItLearns) {
+  // A joiner starts from copies of six seeds' PeerRefs. Every other peer
+  // it learns reaches it through FIND_NODE answers, and the sim passes
+  // those answers by pointer; each such routing-table entry must be the
+  // peer's own self contact, not a copy of it.
+  TestSwarm swarm(60);
+  const sim::NodeId node = swarm.network().add_node({.region = 0});
+  DhtNode joiner(swarm.network(), node, synthetic_peer_id(1005),
+                 {synthetic_address(1005)});
+  joiner.attach_to_network();
+  std::vector<PeerRef> seeds;
+  for (int i = 0; i < 6; ++i) seeds.push_back(swarm.ref(i));
+  bool ok = false;
+  joiner.bootstrap(seeds, [&](bool success) { ok = success; });
+  swarm.simulator().run();
+  ASSERT_TRUE(ok);
+
+  std::size_t learned = 0;
+  for (const Contact& entry : joiner.routing_table().contacts()) {
+    for (std::size_t j = 6; j < swarm.size(); ++j) {
+      const Contact& own = swarm.node(j).self_contact();
+      if (own.key() != entry.key()) continue;
+      EXPECT_EQ(entry.peer().get(), own.peer().get()) << "peer " << j;
+      ++learned;
+    }
+  }
+  EXPECT_GT(learned, 10u);
+}
+
+TEST(DhtSwarmTest, LookupOutlivesItsCandidatesRemoval) {
+  // Node 0 holds its own copy of peer 9's contact, the only handle to
+  // that PeerRef. A walk for peer 9's key takes it as a candidate; while
+  // the walk is in flight, peer 9 is removed from every routing table.
+  // The candidate's handle keeps the PeerRef alive: the walk still
+  // dials peer 9 and completes with it closest.
+  TestSwarm swarm(40, /*seed=*/11);
+  const Contact& original = swarm.node(9).self_contact();
+  const Key target = original.key();
+  swarm.node(0).routing_table().remove(original);
+  std::weak_ptr<const PeerRef> watched;
+  {
+    const Contact copy = Contact::of(*original.peer());
+    ASSERT_TRUE(swarm.node(0).routing_table().upsert(copy));
+    watched = copy.peer();
+  }
+
+  LookupResult result;
+  bool done = false;
+  swarm.node(0).lookup_closest(target, [&](LookupResult r) {
+    result = std::move(r);
+    done = true;
+  });
+  swarm.simulator().schedule_after(sim::milliseconds(1), [&] {
+    for (std::size_t i = 0; i < swarm.size(); ++i)
+      swarm.node(i).routing_table().remove(original);
+    EXPECT_FALSE(done);
+    EXPECT_FALSE(watched.expired());  // held by the walk alone
+  });
+  swarm.simulator().run();
+
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(result.completed);
+  ASSERT_FALSE(result.closest.empty());
+  EXPECT_EQ(result.closest.front().id, original.peer()->id);
+  EXPECT_EQ(result.closest.front().node, original.peer()->node);
 }
 
 TEST(DhtSwarmTest, PutAndGetValueRoundTrip) {
@@ -787,7 +888,8 @@ TEST(DhtClientTest, ClientsDoNotServeProviderQueries) {
                           [](bool, sim::Duration) {});
   swarm.simulator().run();
   sim::RpcStatus status = sim::RpcStatus::kOk;
-  auto request = std::make_shared<GetProvidersRequest>();
+  auto request = std::make_shared<GetProvidersRequest>(
+      swarm.node(0).self_contact(), /*requester_is_server=*/false);
   request->key = key;
   swarm.network().request(swarm.ref(0).node, swarm.ref(9).node,
                           std::move(request), 64, sim::seconds(3),

@@ -139,9 +139,9 @@ TEST(HydraTest, HeadsAreRoutableViaDht) {
   // Heads appear in regular peers' routing tables after seeding.
   std::size_t sightings = 0;
   for (std::size_t i = 0; i < 300; ++i) {
-    for (const auto& peer : world.dht(i).routing_table().all_peers()) {
+    for (const auto& contact : world.dht(i).routing_table().contacts()) {
       for (std::size_t head = 300; head < world.size(); ++head) {
-        if (peer.id == world.ref(head).id) ++sightings;
+        if (contact.peer()->id == world.ref(head).id) ++sightings;
       }
     }
   }

@@ -167,11 +167,11 @@ TEST_P(RoutingTableProperty, ClosestMatchesBruteForce) {
     dht::PeerRef ref{testutil::synthetic_peer_id(rng.next()),
                      static_cast<sim::NodeId>(i),
                      {}};
-    if (table.upsert(ref)) inserted.push_back(ref);
+    if (table.upsert(dht::Contact::of(ref))) inserted.push_back(ref);
   }
   // Note: upsert may reject peers whose bucket is full; brute-force over
   // what the table actually holds.
-  const auto held = table.all_peers();
+  const auto held = table.contacts();
 
   for (int trial = 0; trial < 10; ++trial) {
     const dht::Key target = dht::Key::hash_of(random_bytes(8, rng.next()));
@@ -181,14 +181,17 @@ TEST_P(RoutingTableProperty, ClosestMatchesBruteForce) {
     // Brute force.
     auto expected = held;
     std::sort(expected.begin(), expected.end(),
-              [&](const dht::PeerRef& x, const dht::PeerRef& y) {
-                return dht::Key::for_peer(x.id).distance_to(target) <
-                       dht::Key::for_peer(y.id).distance_to(target);
+              [&](const dht::Contact& x, const dht::Contact& y) {
+                return dht::Key::for_peer(x.peer()->id).distance_to(target) <
+                       dht::Key::for_peer(y.peer()->id).distance_to(target);
               });
-    expected.resize(std::min<std::size_t>(20, expected.size()));
+    expected.erase(expected.begin() +
+                       std::min<std::ptrdiff_t>(20, std::ssize(expected)),
+                   expected.end());
     ASSERT_EQ(closest.size(), expected.size());
     for (std::size_t i = 0; i < closest.size(); ++i)
-      EXPECT_EQ(closest[i].id, expected[i].id) << "position " << i;
+      EXPECT_EQ(closest[i].peer()->id, expected[i].peer()->id)
+          << "position " << i;
   }
 }
 

@@ -92,7 +92,7 @@ ParityOutcome run_scenario(
   for (auto& rig : rigs) {
     for (auto& other : rigs) {
       if (other == rig) continue;
-      rig->dht.routing_table().upsert(other->dht.self());
+      rig->dht.routing_table().upsert(other->dht.self_contact());
     }
   }
 

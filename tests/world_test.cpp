@@ -166,7 +166,7 @@ TEST(WorldTest, DeterministicForSameSeed) {
 }
 
 // FNV-1a over every node's seeded table: each entry's id bytes and node
-// id, in all_peers() order. Pins the seeding plan, the rng draw stream
+// id, in contacts() order. Pins the seeding plan, the rng draw stream
 // and the per-bucket insertion order.
 std::uint64_t seeded_tables_digest(World& world) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
@@ -175,7 +175,8 @@ std::uint64_t seeded_tables_digest(World& world) {
     hash *= 0x100000001b3ULL;
   };
   for (std::size_t i = 0; i < world.size(); ++i) {
-    for (const auto& peer : world.dht(i).routing_table().all_peers()) {
+    for (const auto& contact : world.dht(i).routing_table().contacts()) {
+      const dht::PeerRef& peer = *contact.peer();
       for (const std::uint8_t byte : peer.id.encode()) mix(byte);
       for (int shift = 0; shift < 32; shift += 8)
         mix(static_cast<std::uint8_t>(peer.node >> shift));
